@@ -229,7 +229,7 @@ render_metrics(const runtime::ServingEngine& engine,
     os << "shredder_net_connections_active " << net.connections_active
        << '\n';
     family(os, "shredder_net_frames_served_total", "counter",
-           "SHRP response frames written (any status).");
+           "SHRP response frames queued for sending (any status).");
     os << "shredder_net_frames_served_total " << net.frames_served << '\n';
     family(os, "shredder_net_protocol_errors_total", "counter",
            "Malformed frames survived.");

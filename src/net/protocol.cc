@@ -5,7 +5,9 @@
 #include "src/net/protocol.h"
 
 #include <cstdio>
+#include <istream>
 #include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include "src/runtime/logging.h"
@@ -26,6 +28,28 @@ protocol_error(const std::string& what)
 }
 
 /**
+ * A read-only stream buffer over borrowed bytes, so the checked wire
+ * readers parse a payload where it lies (a socket buffer, a frame
+ * string) instead of from a stringstream copy of it. It never writes:
+ * there is no put area and put-back only moves the read position.
+ */
+class ViewBuffer : public std::streambuf
+{
+  public:
+    explicit ViewBuffer(std::string_view bytes)
+    {
+        char* begin = const_cast<char*>(bytes.data());
+        setg(begin, begin, begin + bytes.size());
+    }
+
+    /** Bytes not consumed yet. */
+    std::size_t remaining() const
+    {
+        return static_cast<std::size_t>(egptr() - gptr());
+    }
+};
+
+/**
  * Run a payload parser with the trust-boundary disciplines engaged:
  * `SerializeError` from the wire readers and `FatalError` from
  * shape/tensor validation both become typed `kProtocol` errors, and
@@ -34,18 +58,17 @@ protocol_error(const std::string& what)
  */
 template <typename F>
 auto
-parse_payload(const std::string& payload, const char* kind, F&& parse)
+parse_payload(std::string_view payload, const char* kind, F&& parse)
 {
-    std::istringstream is(payload);
+    ViewBuffer bytes(payload);
+    std::istream is(&bytes);
     // Guard the whole parse: untrusted bytes may reach SHREDDER_REQUIRE
     // checks deep inside Tensor/Shape construction — those must fail
     // the frame, never the process.
     ScopedFatalThrow guard;
     try {
         auto parsed = parse(is);
-        const auto consumed = is.tellg();
-        if (consumed < 0 ||
-            static_cast<std::size_t>(consumed) != payload.size()) {
+        if (bytes.remaining() != 0) {
             protocol_error(std::string(kind) +
                            " payload has trailing bytes");
         }
@@ -178,7 +201,7 @@ encode_response(const Response& response)
 }
 
 Request
-decode_request_payload(const std::string& payload)
+decode_request_payload(std::string_view payload)
 {
     return parse_payload(payload, "SHRQ", [](std::istream& is) {
         Request request;
@@ -200,7 +223,7 @@ decode_request_payload(const std::string& payload)
 }
 
 Response
-decode_response_payload(const std::string& payload)
+decode_response_payload(std::string_view payload)
 {
     return parse_payload(payload, "SHRP", [](std::istream& is) {
         Response response;
@@ -220,27 +243,16 @@ decode_response_payload(const std::string& payload)
     });
 }
 
-bool
-read_frame(Socket& socket, std::uint32_t expected_magic,
-           std::string* payload)
+std::uint32_t
+check_envelope(const char* header, std::uint32_t expected_magic)
 {
-    // The envelope is read with raw socket calls (a stream adapter
-    // would hide WHERE the bytes stopped); everything after it goes
-    // through the checked wire readers.
-    unsigned char header[12];
-    const std::size_t first = socket.recv_some(header, sizeof(header));
-    if (first == 0) {
-        return false;  // clean close between frames
-    }
-    if (first < sizeof(header)) {
-        socket.recv_all(header + first, sizeof(header) - first);
-    }
-
-    const auto read_le32 = [&header](int at) {
-        return static_cast<std::uint32_t>(header[at]) |
-               static_cast<std::uint32_t>(header[at + 1]) << 8 |
-               static_cast<std::uint32_t>(header[at + 2]) << 16 |
-               static_cast<std::uint32_t>(header[at + 3]) << 24;
+    const auto byte = [header](int at) {
+        return static_cast<std::uint32_t>(
+            static_cast<unsigned char>(header[at]));
+    };
+    const auto read_le32 = [&byte](int at) {
+        return byte(at) | byte(at + 1) << 8 | byte(at + 2) << 16 |
+               byte(at + 3) << 24;
     };
     const std::uint32_t magic = read_le32(0);
     const std::uint32_t version = read_le32(4);
@@ -263,7 +275,25 @@ read_frame(Socket& socket, std::uint32_t expected_magic,
                        " exceeds the " +
                        std::to_string(kMaxFramePayload) + "-byte limit");
     }
+    return length;
+}
 
+bool
+read_frame(Socket& socket, std::uint32_t expected_magic,
+           std::string* payload)
+{
+    // The envelope is read with raw socket calls (a stream adapter
+    // would hide WHERE the bytes stopped); everything after it goes
+    // through the checked wire readers.
+    char header[kEnvelopeBytes];
+    const std::size_t first = socket.recv_some(header, sizeof(header));
+    if (first == 0) {
+        return false;  // clean close between frames
+    }
+    if (first < sizeof(header)) {
+        socket.recv_all(header + first, sizeof(header) - first);
+    }
+    const std::uint32_t length = check_envelope(header, expected_magic);
     payload->resize(length);
     if (length > 0) {
         socket.recv_all(&(*payload)[0], length);

@@ -45,8 +45,10 @@
 #ifndef SHREDDER_NET_PROTOCOL_H
 #define SHREDDER_NET_PROTOCOL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/net/socket.h"
 #include "src/runtime/serving_error.h"
@@ -70,6 +72,8 @@ constexpr std::uint32_t kProtocolVersion = 2;
 constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 /** Endpoint-name length ceiling inside a request payload. */
 constexpr std::uint32_t kMaxEndpointName = 256;
+/** Bytes of the fixed envelope (magic, version, payload length). */
+constexpr std::size_t kEnvelopeBytes = 12;
 
 /**
  * Stable on-wire status codes. These are the protocol's public enum —
@@ -140,17 +144,32 @@ std::string encode_request(const Request& request);
 std::string encode_response(const Response& response);
 
 /**
- * Parse a request payload (the bytes after the 12-byte envelope).
+ * Parse a request payload (the bytes after the 12-byte envelope) in
+ * place — the bytes are read where they lie, never copied first.
  * @throws runtime::ServingError `kProtocol` on any malformation,
  *         including trailing bytes after the activation tensor.
  */
-Request decode_request_payload(const std::string& payload);
+Request decode_request_payload(std::string_view payload);
 
 /** Response-side counterpart of `decode_request_payload`. */
-Response decode_response_payload(const std::string& payload);
+Response decode_response_payload(std::string_view payload);
 
 /**
- * Read one frame envelope + payload off `socket`.
+ * Check one frame envelope — the single home of the envelope rules,
+ * shared by `read_frame` and the server's frame cutter.
+ *
+ * @param header         The frame's first `kEnvelopeBytes` bytes.
+ * @param expected_magic `kRequestMagic` or `kResponseMagic`.
+ * @return the payload length that follows the envelope.
+ * @throws runtime::ServingError `kProtocol` for a wrong magic, a
+ *         version above `kProtocolVersion`, or a length above
+ *         `kMaxFramePayload` (checked before anything is allocated).
+ */
+std::uint32_t check_envelope(const char* header,
+                             std::uint32_t expected_magic);
+
+/**
+ * Read one frame envelope + payload off a blocking `socket`.
  *
  * @param socket         The connected stream.
  * @param expected_magic `kRequestMagic` or `kResponseMagic` — which

@@ -4,11 +4,10 @@
  */
 #include "src/net/server.h"
 
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
 #include <deque>
-#include <future>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/net/metrics.h"
@@ -19,43 +18,152 @@ namespace shredder {
 namespace net {
 
 using runtime::ServingError;
-using runtime::ServingErrorCode;
+
+namespace {
 
 /**
- * One accepted client link. The reader thread decodes frames and
- * submits them; the writer thread drains `pending` in submission
- * order (responses carry ids, so FIFO write order is a convenience,
- * not a contract) and is the connection's only sender.
+ * Least free space one read offers. A frame larger than this gets room
+ * for all of it, so its payload lands in the buffer once and is parsed
+ * where it lies.
+ */
+constexpr std::size_t kReadChunk = 16 * 1024;
+
+/**
+ * HTTP header bound: the exchange ends at CRLFCRLF, and a scraper's
+ * GET is far below this. Past it the request is hostile and the
+ * connection simply closes.
+ */
+constexpr std::size_t kMaxHttpHeader = 8192;
+
+}  // namespace
+
+/**
+ * One accepted client link. The loop thread owns the receive side
+ * (the buffer and how it is parsed); the FIFO of answers and every
+ * send are shared with completing workers under `mutex`.
  */
 struct Server::Connection
 {
     explicit Connection(Socket s) : socket(std::move(s)) {}
 
     Socket socket;
-    std::thread reader;
-    std::thread writer;
 
-    std::mutex mutex;  ///< Guards pending + flags below.
-    std::condition_variable cv;
-    /** In-flight work: an engine future, or an already-typed reply. */
-    struct Pending
+    // --- Loop thread only. ----------------------------------------
+    enum class Kind { kUnknown, kFrames, kHttp };
+    Kind kind = Kind::kUnknown;  ///< Decided by the first byte.
+    std::string in;              ///< Receive buffer.
+    std::size_t in_begin = 0;    ///< First unparsed byte.
+    std::size_t in_end = 0;      ///< One past the last received byte.
+    /** Size of the partial frame at `in_begin` once its envelope is in. */
+    std::size_t frame_bytes = 0;
+    /** The peer sent its last byte; what is buffered is still cut. */
+    bool eof = false;
+
+    // --- Guarded by `mutex`. --------------------------------------
+    std::mutex mutex;
+    /** One per accepted frame, in arrival order. */
+    struct Slot
     {
-        bool is_ready = false;      ///< True: `ready` is the reply.
-        std::future<Tensor> future; ///< Engine result (when !is_ready).
-        Response ready;             ///< Pre-built (error) response.
+        bool ready = false;  ///< `frame` holds the encoded answer.
+        std::string frame;
     };
-    std::deque<Pending> pending;
-    bool reader_done = false;  ///< No further pending entries will come.
-    bool closing = false;      ///< stop() wants both loops gone.
+    std::deque<Slot> slots;
+    std::uint64_t front_seq = 0;  ///< Sequence number of slots.front().
+    std::size_t front_sent = 0;   ///< Bytes of the front frame sent.
+    bool reading = true;          ///< EPOLLIN armed.
+    bool writing = false;         ///< EPOLLOUT armed.
+    bool link_dead = false;       ///< Peer gone: answers are dropped.
+    /**
+     * The frame cutter stopped at the in-flight bound. The completion
+     * that takes the FIFO below it clears this and calls the loop.
+     */
+    bool paused = false;
+    // Written only by the loop thread (under `mutex`, so workers may
+    // read them); the loop itself reads them without the lock.
+    bool read_done = false;  ///< No more frames: EOF cut, bad frame, HTTP.
+    bool closed = false;     ///< Left the poller: epoll is off limits.
 
-    std::atomic<bool> reader_exited{false};
-    std::atomic<bool> writer_exited{false};
-
-    /** True once both loops returned (safe to join + destroy). */
-    bool finished() const
+    /**
+     * Send every answered frame at the head of the FIFO until the
+     * kernel's buffer fills; true when bytes are left for EPOLLOUT.
+     * Caller holds `mutex`.
+     */
+    bool flush()
     {
-        return reader_exited.load(std::memory_order_acquire) &&
-               writer_exited.load(std::memory_order_acquire);
+        while (!slots.empty() && slots.front().ready) {
+            const std::string& frame = slots.front().frame;
+            if (!link_dead) {
+                try {
+                    front_sent += socket.try_send(
+                        frame.data() + front_sent,
+                        frame.size() - front_sent);
+                } catch (const ServingError&) {
+                    link_dead = true;  // the client went away
+                }
+                if (!link_dead && front_sent < frame.size()) {
+                    return true;
+                }
+            }
+            slots.pop_front();
+            ++front_seq;
+            front_sent = 0;
+        }
+        return false;
+    }
+
+    /**
+     * One read into the buffer (loop thread). Room is made first: a
+     * drained buffer rewinds for free, and a partial frame is kept
+     * whole so the rest of it lands in place. A socket error ends the
+     * read side; EOF only stops the reads.
+     */
+    void receive()
+    {
+        const std::size_t have = in_end - in_begin;
+        if (have == 0) {
+            in_begin = in_end = 0;
+        }
+        const std::size_t target = std::max(frame_bytes, have + kReadChunk);
+        if (in.size() - in_begin < target) {
+            if (in_begin > 0) {
+                in.erase(0, in_begin);
+                in_begin = 0;
+                in_end = have;
+            }
+            in.resize(std::max(in.size(), target));
+        }
+        std::size_t n = 0;
+        bool failed = false;
+        try {
+            n = socket.recv_some(&in[in_end], in.size() - in_end);
+        } catch (const ServingError&) {
+            failed = true;
+        }
+        if (failed) {
+            std::lock_guard<std::mutex> lock(mutex);
+            read_done = true;
+            link_dead = true;  // nobody is left to read answers owed
+            return;
+        }
+        if (n == Socket::kWouldBlock) {
+            return;
+        }
+        in_end += n;
+        eof = n == 0;
+    }
+
+    /** Set the epoll interest. Caller holds `mutex`. */
+    void watch(Poller& poller, bool in, bool out)
+    {
+        if (closed || (in == reading && out == writing)) {
+            return;
+        }
+        if (poller.modify(socket.fd(), in, out)) {
+            reading = in;
+            writing = out;
+        } else {
+            link_dead = true;  // unmanageable now; the loop closes it
+        }
     }
 };
 
@@ -66,7 +174,8 @@ Server::Server(runtime::ServingEngine& engine, const ServerConfig& config)
     SHREDDER_REQUIRE(config_.max_inflight_per_connection >= 1,
                      "max_inflight_per_connection must be >= 1, got ",
                      config_.max_inflight_per_connection);
-    acceptor_ = std::thread([this] { accept_loop(); });
+    poller_.add(listener_.fd(), /*readable=*/true, /*writable=*/false);
+    loop_thread_ = std::thread([this] { loop(); });
 }
 
 Server::~Server() { stop(); }
@@ -75,196 +184,286 @@ ServerNetStats
 Server::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    ServerNetStats stats = stats_;
+    stats.frames_served = frames_served_;
+    return stats;
 }
 
 void
-Server::accept_loop()
+Server::loop()
+{
+    std::vector<Poller::Ready> ready;
+    std::vector<std::shared_ptr<Connection>> attention;
+    for (;;) {
+        poller_.wait(&ready);
+        bool woken = false;
+        for (const Poller::Ready& r : ready) {
+            if (r.fd == -1) {
+                woken = true;
+            } else if (r.fd == listener_.fd()) {
+                accept_ready();
+            } else {
+                const auto it = connections_.find(r.fd);
+                if (it != connections_.end()) {
+                    // A copy: servicing may drop the map's reference.
+                    const std::shared_ptr<Connection> connection =
+                        it->second;
+                    service(connection, r.readable, r.writable, r.hangup);
+                }
+            }
+        }
+        if (!woken) {
+            continue;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (stopping_) {
+                return;
+            }
+            attention.swap(attention_);
+        }
+        for (const std::shared_ptr<Connection>& connection : attention) {
+            const auto it = connections_.find(connection->socket.fd());
+            if (it != connections_.end() && it->second == connection) {
+                service(connection, false, false, false);
+            }
+        }
+        attention.clear();
+    }
+}
+
+void
+Server::accept_ready()
 {
     for (;;) {
-        Socket client = listener_.accept();
-        if (!client.valid()) {
-            return;  // listener closed: shutdown
+        Socket socket;
+        try {
+            socket = listener_.accept_pending();
+        } catch (const ServingError&) {
+            return;  // e.g. out of descriptors; retried on the next event
         }
-        auto connection = std::make_unique<Connection>(std::move(client));
-        Connection* raw = connection.get();
+        if (!socket.valid()) {
+            return;  // accept queue drained
+        }
+        auto connection = std::make_shared<Connection>(std::move(socket));
+        const int fd = connection->socket.fd();
+        try {
+            poller_.add(fd, /*readable=*/true, /*writable=*/false);
+        } catch (const ServingError&) {
+            continue;  // cannot watch it: drop the connection
+        }
+        connections_.emplace(fd, std::move(connection));
         std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_) {
-            return;  // raced stop(); drop the socket on the floor
-        }
-        reap_connections();
         ++stats_.connections_accepted;
         ++stats_.connections_active;
-        raw->reader = std::thread([this, raw] { reader_loop(raw); });
-        raw->writer = std::thread([this, raw] { writer_loop(raw); });
-        connections_.push_back(std::move(connection));
     }
 }
 
 void
-Server::reap_connections()
+Server::service(const std::shared_ptr<Connection>& connection,
+                bool readable, bool writable, bool hangup)
 {
-    // Caller holds mutex_. Finished connections' threads have both
-    // returned, so the joins below cannot block the accept loop.
-    for (auto it = connections_.begin(); it != connections_.end();) {
-        if ((*it)->finished()) {
-            (*it)->reader.join();
-            (*it)->writer.join();
-            it = connections_.erase(it);
-            --stats_.connections_active;
-        } else {
-            ++it;
+    Connection& c = *connection;
+    if (hangup) {
+        // Reset or error: nobody is left to read answers still owed.
+        std::lock_guard<std::mutex> lock(c.mutex);
+        c.read_done = true;
+        c.link_dead = true;
+    } else if (readable) {
+        c.receive();  // only reported while EPOLLIN is armed
+    }
+    if (writable) {
+        std::lock_guard<std::mutex> lock(c.mutex);
+        c.watch(poller_, c.reading, c.flush());
+    }
+
+    if (!c.read_done) {
+        if (c.kind == Connection::Kind::kUnknown && c.in_end > c.in_begin) {
+            // Protocol demux on the first byte: an HTTP scrape starts
+            // "GET ", a SHRQ frame starts with its magic ('S').
+            c.kind = c.in[c.in_begin] == 'G' ? Connection::Kind::kHttp
+                                              : Connection::Kind::kFrames;
         }
+        bool paused = false;
+        if (c.kind == Connection::Kind::kFrames) {
+            paused = cut_frames(connection);
+        } else if (c.kind == Connection::Kind::kHttp) {
+            serve_http(c);
+        }
+        if (c.eof && !paused) {
+            // Every whole frame the peer sent is cut; a partial one
+            // left in the buffer can never complete.
+            std::lock_guard<std::mutex> lock(c.mutex);
+            c.read_done = true;
+        }
+    }
+
+    bool finished = false;
+    {
+        std::lock_guard<std::mutex> lock(c.mutex);
+        c.watch(poller_, !c.read_done && !c.eof && !c.paused, c.writing);
+        finished = c.link_dead || (c.read_done && c.slots.empty());
+    }
+    if (finished) {
+        close_connection(c);
     }
 }
 
-void
-Server::reader_loop(Connection* connection)
+bool
+Server::cut_frames(const std::shared_ptr<Connection>& connection)
 {
-    const auto finish = [connection](bool note_protocol_error,
-                                     Response error_response) {
-        std::unique_lock<std::mutex> lock(connection->mutex);
-        if (note_protocol_error) {
-            Connection::Pending entry;
-            entry.is_ready = true;
-            entry.ready = std::move(error_response);
-            connection->pending.push_back(std::move(entry));
+    Connection& c = *connection;
+    // Bad envelope or payload: the stream position is unknowable now,
+    // so the connection ends — after a typed response queued behind
+    // the answers it already owes — and never with a crash.
+    const auto reject_stream = [this, &c](const ServingError& e) {
+        Response response;
+        response.status = WireStatus::kProtocolError;
+        response.message = e.what();
+        std::string frame = encode_response(response);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.protocol_errors;
         }
-        connection->reader_done = true;
-        lock.unlock();
-        connection->cv.notify_all();
-        connection->reader_exited.store(true, std::memory_order_release);
+        ++frames_served_;
+        std::lock_guard<std::mutex> lock(c.mutex);
+        c.slots.push_back(Connection::Slot{true, std::move(frame)});
+        c.read_done = true;
+        c.watch(poller_, c.reading, c.flush());
     };
 
-    // Protocol demux: peek the first byte without consuming it. An
-    // HTTP scrape starts "GET ", a SHRQ frame starts with its magic —
-    // they differ in byte 0, so one peeked byte decides. The bytes
-    // stay in the stream for whichever parser wins.
-    try {
-        char head = 0;
-        const std::size_t peeked = connection->socket.peek(&head, 1);
-        if (peeked == 0) {
-            finish(false, Response{});
-            return;  // clean close before any byte
-        }
-        if (head == 'G') {
-            serve_http(connection);
-            finish(false, Response{});
-            return;  // HTTP is one exchange; the connection is done
-        }
-    } catch (const ServingError&) {
-        finish(false, Response{});
-        return;  // socket died before the first byte
-    }
-
     for (;;) {
-        std::string payload;
-        try {
-            if (!read_frame(connection->socket, kRequestMagic,
-                            &payload)) {
-                finish(false, Response{});
-                return;  // clean close between frames
+        {
+            // Set and read in one critical section with the FIFO size,
+            // so a completion either sees the pause or is already
+            // counted in that size.
+            std::lock_guard<std::mutex> lock(c.mutex);
+            c.paused = static_cast<std::int64_t>(c.slots.size()) >=
+                       config_.max_inflight_per_connection;
+            if (c.paused) {
+                return true;  // at the bound: the rest waits in the buffer
             }
-        } catch (const ServingError& e) {
-            // Bad envelope or mid-frame disconnect. The stream
-            // position is unknowable now, so the connection ends —
-            // but with a best-effort typed response first when the
-            // link still works (kProtocol), and never a crash.
-            const bool answerable =
-                e.code() == ServingErrorCode::kProtocol;
-            if (answerable) {
-                std::lock_guard<std::mutex> stats_lock(mutex_);
-                ++stats_.protocol_errors;
-            }
-            Response response;
-            response.status = WireStatus::kProtocolError;
-            response.message = e.what();
-            finish(answerable, std::move(response));
-            return;
         }
+        const std::size_t have = c.in_end - c.in_begin;
+        if (have < kEnvelopeBytes) {
+            return false;
+        }
+        const char* head = c.in.data() + c.in_begin;
+        std::uint32_t length = 0;
+        try {
+            length = check_envelope(head, kRequestMagic);
+        } catch (const ServingError& e) {
+            reject_stream(e);
+            return false;
+        }
+        if (have < kEnvelopeBytes + length) {
+            c.frame_bytes = kEnvelopeBytes + length;
+            return false;  // the rest of the frame is still on its way
+        }
+        c.frame_bytes = 0;
+        c.in_begin += kEnvelopeBytes + length;
 
         Request request;
         try {
-            request = decode_request_payload(payload);
+            request = decode_request_payload(
+                std::string_view(head + kEnvelopeBytes, length));
         } catch (const ServingError& e) {
-            {
-                std::lock_guard<std::mutex> stats_lock(mutex_);
-                ++stats_.protocol_errors;
-            }
-            Response response;
-            response.status = WireStatus::kProtocolError;
-            response.message = e.what();
-            finish(true, std::move(response));
-            return;
+            reject_stream(e);
+            return false;
         }
 
-        Connection::Pending entry;
+        std::uint64_t seq = 0;
+        {
+            std::lock_guard<std::mutex> lock(c.mutex);
+            seq = c.front_seq + c.slots.size();
+            c.slots.emplace_back();
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++outstanding_;
+        }
+        const std::uint64_t id = request.request_id;
+        runtime::Completion done =
+            [this, connection, seq, id](Tensor output,
+                                        const ServingError* error) {
+                Response response;
+                response.request_id = id;
+                if (error == nullptr) {
+                    response.output = std::move(output);
+                } else {
+                    response.status = wire_status(error->code());
+                    response.message = error->what();
+                }
+                complete(connection, seq, encode_response(response));
+            };
         // Quantized activations stay quantized into the engine: the
         // endpoint either consumes them directly (int8 GEMM) or
-        // dequantizes on a worker, not on the reader thread.
-        entry.future =
-            request.is_quantized
-                ? engine_.submit_quantized(request.endpoint,
-                                           std::move(request.quantized),
-                                           request.request_id)
-                : engine_.submit(request.endpoint,
-                                 std::move(request.activation),
-                                 request.request_id);
-        entry.ready.request_id = request.request_id;
-
-        std::unique_lock<std::mutex> lock(connection->mutex);
-        connection->cv.wait(lock, [this, connection] {
-            return static_cast<std::int64_t>(
-                       connection->pending.size()) <
-                       config_.max_inflight_per_connection ||
-                   connection->closing;
-        });
-        if (connection->closing) {
-            connection->reader_done = true;
-            lock.unlock();
-            connection->cv.notify_all();
-            connection->reader_exited.store(true,
-                                            std::memory_order_release);
-            return;
+        // dequantizes on a worker, not on the loop thread.
+        if (request.is_quantized) {
+            engine_.submit_quantized(request.endpoint,
+                                     std::move(request.quantized), id,
+                                     std::move(done));
+        } else {
+            engine_.submit(request.endpoint, std::move(request.activation),
+                           id, std::move(done));
         }
-        connection->pending.push_back(std::move(entry));
-        lock.unlock();
-        connection->cv.notify_all();
     }
 }
 
 void
-Server::serve_http(Connection* connection)
+Server::complete(const std::shared_ptr<Connection>& connection,
+                 std::uint64_t seq, std::string frame)
 {
-    // Bounded header read: the exchange ends at CRLFCRLF. 8 KiB is
-    // far beyond any scraper's GET; past it the request is hostile
-    // and the connection simply closes.
-    constexpr std::size_t kMaxHeader = 8192;
-    std::string raw;
-    bool complete = false;
-    try {
-        char chunk[512];
-        while (raw.size() < kMaxHeader) {
-            const std::size_t n =
-                connection->socket.recv_some(chunk, sizeof chunk);
-            if (n == 0) {
-                return;  // client went away mid-request
-            }
-            raw.append(chunk, n);
-            if (raw.find("\r\n\r\n") != std::string::npos) {
-                complete = true;
-                break;
-            }
+    // Counted before any byte of it can reach the client.
+    ++frames_served_;
+    Connection& c = *connection;
+    bool attention = false;
+    {
+        std::lock_guard<std::mutex> lock(c.mutex);
+        Connection::Slot& slot = c.slots[seq - c.front_seq];
+        slot.frame = std::move(frame);
+        slot.ready = true;
+        c.watch(poller_, c.reading, c.flush());
+        // The loop must act when the cutter is paused and the FIFO fell
+        // below the bound (frames may be waiting in its buffer), or
+        // when the connection is done.
+        const bool resume =
+            c.paused && static_cast<std::int64_t>(c.slots.size()) <
+                            config_.max_inflight_per_connection;
+        if (resume) {
+            c.paused = false;  // one call to the loop per pause
         }
-    } catch (const ServingError&) {
-        return;
+        attention = !c.closed &&
+                    (resume || c.link_dead ||
+                     (c.read_done && c.slots.empty()));
     }
-    if (!complete) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (attention) {
+        attention_.push_back(connection);
+        poller_.wake();
+    }
+    // Last touch of `this`: stop() may return once this reaches zero.
+    if (--outstanding_ == 0) {
+        outstanding_cv_.notify_all();
+    }
+}
+
+void
+Server::serve_http(Connection& c)
+{
+    const std::string_view buffered(c.in.data() + c.in_begin,
+                                    c.in_end - c.in_begin);
+    if (buffered.find("\r\n\r\n") == std::string_view::npos) {
+        if (buffered.size() >= kMaxHttpHeader) {
+            std::lock_guard<std::mutex> lock(c.mutex);
+            c.read_done = true;  // hostile: close unanswered
+        }
         return;
     }
 
     // Request line: METHOD SP TARGET SP VERSION.
-    std::istringstream line(raw.substr(0, raw.find("\r\n")));
+    std::istringstream line(
+        std::string(buffered.substr(0, buffered.find("\r\n"))));
     std::string method;
     std::string target;
     line >> method >> target;
@@ -274,16 +473,14 @@ Server::serve_http(Connection* connection)
     std::string body;
     if (method == "GET" &&
         (target == "/metrics" || target.rfind("/metrics?", 0) == 0)) {
-        ServerNetStats net;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.http_requests;
             ++stats_.metrics_requests;
-            net = stats_;
         }
         status_line = "HTTP/1.0 200 OK";
         content_type = "text/plain; version=0.0.4; charset=utf-8";
-        body = render_metrics(engine_, net);
+        body = render_metrics(engine_, stats());
     } else {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.http_requests;
@@ -298,67 +495,31 @@ Server::serve_http(Connection* connection)
              << "Content-Length: " << body.size() << "\r\n"
              << "Connection: close\r\n\r\n"
              << body;
-    const std::string out = response.str();
-    try {
-        connection->socket.send_all(out.data(), out.size());
-    } catch (const ServingError&) {
-        // The scraper vanished mid-response; nothing left to do.
-    }
+    // One exchange per connection: the answer is the FIFO's only slot
+    // and the connection closes once it is sent.
+    std::lock_guard<std::mutex> lock(c.mutex);
+    c.slots.push_back(Connection::Slot{true, response.str()});
+    c.read_done = true;
+    c.watch(poller_, c.reading, c.flush());
 }
 
 void
-Server::writer_loop(Connection* connection)
+Server::close_connection(Connection& c)
 {
-    bool link_alive = true;
-    for (;;) {
-        std::unique_lock<std::mutex> lock(connection->mutex);
-        connection->cv.wait(lock, [connection] {
-            return !connection->pending.empty() ||
-                   connection->reader_done;
-        });
-        if (connection->pending.empty()) {
-            break;  // reader_done and everything flushed
-        }
-        Connection::Pending entry = std::move(connection->pending.front());
-        connection->pending.pop_front();
-        lock.unlock();
-        connection->cv.notify_all();  // reader may be at its bound
-
-        Response response;
-        if (entry.is_ready) {
-            response = std::move(entry.ready);
-        } else {
-            response.request_id = entry.ready.request_id;
-            try {
-                response.output = entry.future.get();
-                response.status = WireStatus::kOk;
-            } catch (const ServingError& e) {
-                response.status = wire_status(e.code());
-                response.message = e.what();
-            } catch (const std::exception& e) {
-                response.status = WireStatus::kInternal;
-                response.message = e.what();
-            }
-        }
-
-        if (!link_alive) {
-            continue;  // keep consuming futures; nowhere to send
-        }
-        try {
-            const std::string frame = encode_response(response);
-            connection->socket.send_all(frame.data(), frame.size());
-            std::lock_guard<std::mutex> stats_lock(mutex_);
-            ++stats_.frames_served;
-        } catch (const ServingError&) {
-            // The client went away. Stop sending but keep draining
-            // the queue so already-submitted work is consumed.
-            link_alive = false;
-        }
+    const int fd = c.socket.fd();
+    {
+        std::lock_guard<std::mutex> lock(c.mutex);
+        c.closed = true;
+        c.link_dead = true;  // late completions only retire their slots
     }
-    // All responses flushed (or the link died): signal EOF so a
-    // half-closed client's read loop terminates cleanly.
-    connection->socket.shutdown_both();
-    connection->writer_exited.store(true, std::memory_order_release);
+    poller_.remove(fd);
+    // Signal EOF so a half-closed client's read loop ends cleanly. The
+    // descriptor itself is released with the last reference (a worker
+    // may still hold one), so its number is never reused under it.
+    c.socket.shutdown_both();
+    connections_.erase(fd);
+    std::lock_guard<std::mutex> lock(mutex_);
+    --stats_.connections_active;
 }
 
 void
@@ -371,36 +532,20 @@ Server::stop()
         }
         stopping_ = true;
     }
+    poller_.wake();
+    if (loop_thread_.joinable()) {
+        loop_thread_.join();
+    }
+    // The loop is gone: refuse new connections, then close every open
+    // one (connections_ is ours now).
     listener_.close();
-    if (acceptor_.joinable()) {
-        acceptor_.join();
+    while (!connections_.empty()) {
+        close_connection(*connections_.begin()->second);
     }
-
-    // The acceptor is gone, so connections_ is stable now.
-    std::list<std::unique_ptr<Connection>> connections;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        connections.swap(connections_);
-        stats_.connections_active = 0;
-    }
-    for (auto& connection : connections) {
-        {
-            std::lock_guard<std::mutex> lock(connection->mutex);
-            connection->closing = true;
-        }
-        // Readers blocked in recv observe a clean close; loops at the
-        // in-flight bound observe `closing`.
-        connection->socket.shutdown_both();
-        connection->cv.notify_all();
-    }
-    for (auto& connection : connections) {
-        if (connection->reader.joinable()) {
-            connection->reader.join();
-        }
-        if (connection->writer.joinable()) {
-            connection->writer.join();
-        }
-    }
+    // Requests already submitted still complete; wait for them so no
+    // completion can touch this server after stop() returns.
+    std::unique_lock<std::mutex> lock(mutex_);
+    outstanding_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
 }  // namespace net

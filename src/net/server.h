@@ -4,12 +4,25 @@
  * a `ServingEngine`.
  *
  * This materializes the paper's deployment split (§1, §2.6): the edge
- * half runs on a device, the cloud half behind this listener. Each
- * accepted connection gets a reader thread (decode frame → submit to
- * the engine) and a writer thread (await the engine future → encode
- * response), so one connection can keep many requests in flight — the
- * pipelining an open-loop edge client needs — while responses still
+ * half runs on a device, the cloud half behind this listener. One loop
+ * thread owns every socket: it waits on epoll, accepts, reads
+ * nonblocking sockets into per-connection buffers, cuts complete
+ * frames out of them and submits each to the engine with a completion
+ * callback. One connection can keep many requests in flight — the
+ * pipelining an open-loop edge client needs — and responses still
  * carry the request id they answer.
+ *
+ * Answers do not come back through the loop. The pool worker that
+ * finishes a batch encodes each response, fills that request's slot
+ * in its connection's FIFO and sends every answer at the head of the
+ * FIFO straight away with a nonblocking send; only when the kernel's
+ * send buffer is full does the loop take over the rest (EPOLLOUT is
+ * armed just then). Responses therefore leave in submission order.
+ * A connection with `max_inflight_per_connection` unanswered frames
+ * stops being read (EPOLLIN off) until the FIFO drains below the
+ * bound, which also bounds the bytes a client that never reads can
+ * pin. A client that half-closes is still answered for every whole
+ * frame it sent before its EOF.
  *
  * Trust boundary: every frame is parsed through the checked `wire`
  * readers (src/net/protocol.h). A malformed frame yields a best-effort
@@ -21,25 +34,31 @@
  * crashes on network input.
  *
  * The same listener also answers plain HTTP `GET /metrics` with a
- * Prometheus text scrape (src/net/metrics.h): the reader peeks the
- * connection's first bytes and demuxes — `G` starts an HTTP exchange
- * (one response, then close), anything else is parsed as SHRQ. No
- * second port, so the scrape observes exactly the serving process.
+ * Prometheus text scrape (src/net/metrics.h): the first byte of a
+ * connection decides — `G` starts an HTTP exchange (one response,
+ * then close), anything else is parsed as SHRQ. No second port, so the
+ * scrape observes exactly the serving process. The body is rendered
+ * on the loop thread, so a scrape holds up I/O on every connection
+ * while it renders (docs/PERFORMANCE.md gives the cost per endpoint).
  *
- * Lifecycle: the constructor binds and starts accepting; `stop()`
- * (idempotent, also run by the destructor) closes the listener,
- * shuts down every connection, and joins all threads. The engine is
- * borrowed and must outlive the server.
+ * Lifecycle: the constructor binds and starts the loop; `stop()`
+ * (idempotent, also run by the destructor) stops the loop, closes the
+ * listener and every connection, and waits for the engine to finish
+ * the requests already submitted. The engine is borrowed and must
+ * outlive the server.
  */
 #ifndef SHREDDER_NET_SERVER_H
 #define SHREDDER_NET_SERVER_H
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "src/net/socket.h"
 #include "src/runtime/serving_engine.h"
@@ -55,9 +74,9 @@ struct ServerConfig
     /** TCP port; 0 binds an ephemeral port (read back via `port()`). */
     std::uint16_t port = 0;
     /**
-     * Frames a connection's reader may have in flight before it stops
-     * reading — bounds the per-connection memory an aggressive client
-     * can pin while responses drain.
+     * Unanswered frames a connection may have before the server stops
+     * reading it — bounds the per-connection memory an aggressive
+     * client can pin while responses drain.
      */
     std::int64_t max_inflight_per_connection = 256;
 };
@@ -67,7 +86,7 @@ struct ServerNetStats
 {
     std::int64_t connections_accepted = 0;
     std::int64_t connections_active = 0;
-    std::int64_t frames_served = 0;    ///< Responses written, any status.
+    std::int64_t frames_served = 0;    ///< Responses queued, any status.
     std::int64_t protocol_errors = 0;  ///< Malformed frames survived.
     std::int64_t http_requests = 0;    ///< HTTP GETs demuxed (any path).
     std::int64_t metrics_requests = 0; ///< GET /metrics scrapes served.
@@ -96,46 +115,74 @@ class Server
     ServerNetStats stats() const;
 
     /**
-     * Stop accepting, close every connection, join all threads.
-     * Idempotent; in-flight engine futures are still answered before
-     * their connections close.
+     * Stop the loop, refuse new connections, close every connection,
+     * and wait until the engine has completed every request already
+     * submitted. Idempotent.
      */
     void stop();
 
   private:
     struct Connection;
 
-    /** Accept loop (its own thread). */
-    void accept_loop();
+    /** The readiness loop (its own thread). */
+    void loop();
 
-    /** Per-connection frame→engine loop (reader thread). */
-    void reader_loop(Connection* connection);
+    /** Accept every queued connection. */
+    void accept_ready();
 
     /**
-     * Serve one HTTP GET on a connection whose first peeked byte said
-     * HTTP instead of SHRQ (`GET /metrics` → Prometheus scrape body,
-     * anything else → 404), then close. Runs on the reader thread;
-     * the writer never has pending entries on an HTTP connection, so
-     * the reader is the connection's only sender here.
+     * Advance one connection after readiness or a worker's request for
+     * attention: flush, read, cut frames, pause or resume reading, and
+     * close it once it is finished.
      */
-    void serve_http(Connection* connection);
+    void service(const std::shared_ptr<Connection>& connection,
+                 bool readable, bool writable, bool hangup);
 
-    /** Per-connection future→frame loop (writer thread). */
-    void writer_loop(Connection* connection);
+    /**
+     * Submit every complete frame in the buffer, up to the in-flight
+     * bound. Returns true when it stopped at the bound (the connection
+     * is paused), false when the buffer holds no whole frame.
+     */
+    bool cut_frames(const std::shared_ptr<Connection>& connection);
 
-    /** Drop finished connections from the registry (joins them). */
-    void reap_connections();
+    /** Answer one HTTP GET once its header is buffered (see file). */
+    void serve_http(Connection& connection);
+
+    /**
+     * Fill FIFO slot `seq` with its encoded response and send what the
+     * FIFO head allows. Runs on the completing thread.
+     */
+    void complete(const std::shared_ptr<Connection>& connection,
+                  std::uint64_t seq, std::string frame);
+
+    /** Remove a finished connection (loop thread). */
+    void close_connection(Connection& connection);
 
     runtime::ServingEngine& engine_;
     ServerConfig config_;
     Listener listener_;
+    Poller poller_;
 
-    mutable std::mutex mutex_;  ///< Guards connections_ and stats_.
-    std::list<std::unique_ptr<Connection>> connections_;
-    ServerNetStats stats_;
+    /** Open connections by fd (loop thread only, then `stop()`). */
+    std::unordered_map<int, std::shared_ptr<Connection>> connections_;
+
+    /** Guards stats_, attention_, stopping_ and outstanding_. */
+    mutable std::mutex mutex_;
+    ServerNetStats stats_;  ///< All but frames_served, counted below.
+    /** Answers queued; counted off the lock on every completion. */
+    std::atomic<std::int64_t> frames_served_{0};
+    /** Connections a worker wants the loop to look at. */
+    std::vector<std::shared_ptr<Connection>> attention_;
     bool stopping_ = false;
+    /**
+     * Requests submitted to the engine whose completion has not
+     * finished yet; `stop()` waits for zero so no completion can
+     * outlive the server.
+     */
+    std::int64_t outstanding_ = 0;
+    std::condition_variable outstanding_cv_;
 
-    std::thread acceptor_;
+    std::thread loop_thread_;
 };
 
 }  // namespace net

@@ -11,7 +11,8 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,6 +39,16 @@ set_no_delay(int fd)
 {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/** An epoll registration for `fd` with the given interest. */
+epoll_event
+interest(int fd, bool readable, bool writable)
+{
+    epoll_event event{};
+    event.events = (readable ? EPOLLIN : 0u) | (writable ? EPOLLOUT : 0u);
+    event.data.fd = fd;
+    return event;
 }
 
 }  // namespace
@@ -105,17 +116,28 @@ Socket::send_all(const void* data, std::size_t len)
 {
     const char* p = static_cast<const char*>(data);
     while (len > 0) {
+        const std::size_t n = try_send(p, len);
+        p += n;
+        len -= n;
+    }
+}
+
+std::size_t
+Socket::try_send(const void* data, std::size_t len)
+{
+    for (;;) {
         // MSG_NOSIGNAL: a peer that already closed must fail the call,
         // not SIGPIPE the whole serving process.
-        const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
+        const ssize_t n = ::send(fd_, data, len, MSG_NOSIGNAL);
+        if (n >= 0) {
+            return static_cast<std::size_t>(n);
+        }
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            return 0;
+        }
+        if (errno != EINTR) {
             throw_errno("send failed");
         }
-        p += n;
-        len -= static_cast<std::size_t>(n);
     }
 }
 
@@ -127,25 +149,12 @@ Socket::recv_some(void* data, std::size_t len)
         if (n >= 0) {
             return static_cast<std::size_t>(n);
         }
-        if (errno == EINTR) {
-            continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            return kWouldBlock;
         }
-        throw_errno("recv failed");
-    }
-}
-
-std::size_t
-Socket::peek(void* data, std::size_t len)
-{
-    for (;;) {
-        const ssize_t n = ::recv(fd_, data, len, MSG_PEEK);
-        if (n >= 0) {
-            return static_cast<std::size_t>(n);
+        if (errno != EINTR) {
+            throw_errno("recv failed");
         }
-        if (errno == EINTR) {
-            continue;
-        }
-        throw_errno("peek failed");
     }
 }
 
@@ -193,7 +202,7 @@ Socket::close()
 
 Listener::Listener(const std::string& host, std::uint16_t port)
 {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (fd_ < 0) {
         throw_errno("cannot create listening socket");
     }
@@ -235,91 +244,116 @@ Listener::Listener(const std::string& host, std::uint16_t port)
         throw_errno("getsockname failed");
     }
     port_ = ntohs(bound.sin_port);
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) {
-        ::close(fd_);
-        fd_ = -1;
-        throw_errno("cannot create listener wakeup pipe");
-    }
-    wake_read_ = pipe_fds[0];
-    wake_write_ = pipe_fds[1];
 }
 
-Listener::~Listener()
-{
-    close();
-    // The descriptors are released only here — close() leaves them
-    // open (merely shut down) so a concurrent accept() never polls a
-    // recycled fd number.
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
-    if (wake_read_ >= 0) {
-        ::close(wake_read_);
-        wake_read_ = -1;
-    }
-    if (wake_write_ >= 0) {
-        ::close(wake_write_);
-        wake_write_ = -1;
-    }
-}
+Listener::~Listener() { close(); }
 
 Socket
-Listener::accept()
+Listener::accept_pending()
 {
     for (;;) {
-        if (closing_.load(std::memory_order_acquire)) {
-            return Socket();  // closed before (or during) the call
+        const int client =
+            ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (client >= 0) {
+            set_no_delay(client);
+            return Socket(client);
         }
-        pollfd fds[2];
-        fds[0].fd = fd_;
-        fds[0].events = POLLIN;
-        fds[1].fd = wake_read_;
-        fds[1].events = POLLIN;
-        const int rc = ::poll(fds, 2, -1);
-        if (rc < 0) {
-            if (errno == EINTR) {
-                continue;
-            }
-            throw_errno("poll failed");
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+            return Socket();
         }
-        if (fds[1].revents != 0 ||
-            closing_.load(std::memory_order_acquire)) {
-            return Socket();  // close() woke us: shutdown, not error
-        }
-        const int client = ::accept(fd_, nullptr, nullptr);
-        if (client < 0) {
-            if (errno == EINTR || errno == ECONNABORTED) {
-                continue;
-            }
-            if (errno == EINVAL) {
-                return Socket();  // raced close(); clean shutdown
-            }
+        if (errno != EINTR && errno != ECONNABORTED) {
             throw_errno("accept failed");
         }
-        set_no_delay(client);
-        return Socket(client);
     }
 }
 
 void
 Listener::close()
 {
-    if (closing_.exchange(true, std::memory_order_acq_rel)) {
-        return;  // idempotent
-    }
     if (fd_ >= 0) {
-        // Unblocks a racing accept() with EINVAL on Linux; the fd
-        // itself stays allocated until the destructor runs.
-        ::shutdown(fd_, SHUT_RDWR);
+        ::close(fd_);
+        fd_ = -1;
     }
-    if (wake_write_ >= 0) {
-        const char byte = 1;
-        // Best-effort: a full pipe already guarantees a pending wakeup.
-        (void)!::write(wake_write_, &byte, 1);
+}
+
+Poller::Poller()
+{
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) {
+        throw_errno("epoll_create1 failed");
     }
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) {
+        ::close(epoll_fd_);
+        throw_errno("eventfd failed");
+    }
+    add(wake_fd_, /*readable=*/true, /*writable=*/false);
+}
+
+Poller::~Poller()
+{
+    ::close(wake_fd_);
+    ::close(epoll_fd_);
+}
+
+void
+Poller::add(int fd, bool readable, bool writable)
+{
+    epoll_event event = interest(fd, readable, writable);
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) {
+        throw_errno("epoll_ctl(ADD) failed");
+    }
+}
+
+bool
+Poller::modify(int fd, bool readable, bool writable)
+{
+    epoll_event event = interest(fd, readable, writable);
+    return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event) == 0;
+}
+
+void
+Poller::remove(int fd)
+{
+    // Best-effort: the fd may already have left the set with its last
+    // reference; there is nothing left to stop watching then.
+    epoll_event unused{};
+    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &unused);
+}
+
+void
+Poller::wait(std::vector<Ready>* ready)
+{
+    epoll_event events[64];
+    int n = -1;
+    while (n < 0) {
+        n = ::epoll_wait(epoll_fd_, events, 64, -1);
+        if (n < 0 && errno != EINTR) {
+            throw_errno("epoll_wait failed");
+        }
+    }
+    ready->clear();
+    for (int i = 0; i < n; ++i) {
+        Ready r;
+        r.fd = events[i].data.fd;
+        if (r.fd == wake_fd_) {
+            std::uint64_t count = 0;
+            (void)!::read(wake_fd_, &count, sizeof(count));
+            r.fd = -1;
+        }
+        r.readable = (events[i].events & EPOLLIN) != 0;
+        r.writable = (events[i].events & EPOLLOUT) != 0;
+        r.hangup = (events[i].events & (EPOLLHUP | EPOLLERR)) != 0;
+        ready->push_back(r);
+    }
+}
+
+void
+Poller::wake()
+{
+    const std::uint64_t one = 1;
+    // Best-effort: a saturated counter already guarantees a wakeup.
+    (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
 }  // namespace net

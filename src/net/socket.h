@@ -3,10 +3,10 @@
  * Thin RAII wrappers over POSIX TCP sockets.
  *
  * Everything the `net` subsystem touches at the OS level lives here:
- * a connected `Socket` (full-buffer send/recv helpers, partial reads
- * for framing) and a bound `Listener` whose `accept` can be unblocked
- * from another thread via `close()` (self-pipe wakeup, so shutdown
- * never races the kernel's accept queue).
+ * a connected `Socket` (full-buffer send/recv helpers for the blocking
+ * client, partial ones that also serve the server's nonblocking
+ * sockets), a nonblocking `Listener`, and the `Poller` (epoll plus an
+ * eventfd wakeup) that the server's single readiness loop waits on.
  *
  * Failure discipline: socket-level trouble (connect refused, send
  * failure, peer disconnect mid-buffer) throws a typed
@@ -18,10 +18,10 @@
 #ifndef SHREDDER_NET_SOCKET_H
 #define SHREDDER_NET_SOCKET_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/runtime/serving_error.h"
 
@@ -52,58 +52,62 @@ class Socket
     bool valid() const { return fd_ >= 0; }
 
     /**
-     * Send the whole buffer (looping over partial writes).
+     * Send the whole buffer on a blocking socket (looping over
+     * partial writes).
      * @throws runtime::ServingError `kNetwork` on any send failure
      *         (including the peer resetting the connection).
      */
     void send_all(const void* data, std::size_t len);
 
     /**
-     * Receive up to `len` bytes; returns the count actually read, or
-     * 0 on a clean peer close. Retries EINTR; throws `kNetwork` on
-     * a real socket error.
+     * Send what the kernel takes now: the byte count — possibly fewer
+     * than `len`, 0 when a nonblocking socket's buffer is full. Throws
+     * `kNetwork` when the peer is gone (never raises SIGPIPE).
+     */
+    std::size_t try_send(const void* data, std::size_t len);
+
+    /** Returned by `recv_some` when a nonblocking socket holds nothing. */
+    static constexpr std::size_t kWouldBlock = ~std::size_t{0};
+
+    /**
+     * Receive up to `len` bytes; returns the count actually read, 0 on
+     * a clean peer close, or `kWouldBlock` when the socket is
+     * nonblocking and nothing is buffered. Retries EINTR; throws
+     * `kNetwork` on a real socket error.
      */
     std::size_t recv_some(void* data, std::size_t len);
 
     /**
-     * Receive exactly `len` bytes. A peer close before the buffer is
-     * full is a mid-transfer disconnect: throws `kNetwork`.
+     * Receive exactly `len` bytes on a blocking socket. A peer close
+     * before the buffer is full is a mid-transfer disconnect: throws
+     * `kNetwork`.
      */
     void recv_all(void* data, std::size_t len);
-
-    /**
-     * Look at up to `len` bytes WITHOUT consuming them (`MSG_PEEK`):
-     * blocks until at least one byte is available, then returns
-     * however many the kernel holds (possibly fewer than `len`), or 0
-     * on a clean peer close. The server's front door uses this to
-     * demux protocols on one listener — the peeked bytes are still
-     * the stream's next bytes for whichever parser wins. Retries
-     * EINTR; throws `kNetwork` on a real socket error.
-     */
-    std::size_t peek(void* data, std::size_t len);
 
     /** Half-close the send direction (signals EOF to the peer). */
     void shutdown_send();
 
     /**
-     * Shut both directions down without releasing the fd — the
-     * thread-safe way to unblock a peer thread stuck in `recv_some`
-     * (it observes a clean close); the descriptor itself dies with
-     * the object.
+     * Shut both directions down without releasing the fd: the peer
+     * sees EOF, later sends fail, and the descriptor number cannot be
+     * reused while another thread may still hold this socket (it is
+     * released by `close()` or the destructor).
      */
     void shutdown_both();
 
     /** Close the descriptor (idempotent). */
     void close();
 
+    /** The raw descriptor (for registering with a `Poller`). */
+    int fd() const { return fd_; }
+
   private:
     int fd_;
 };
 
 /**
- * A listening TCP socket. `accept` blocks until a connection arrives
- * or `close()` is called from any thread (returning an invalid
- * `Socket` in that case — the shutdown path, not an error).
+ * A nonblocking listening TCP socket. Connections are taken with
+ * `accept_pending` once a `Poller` reports the descriptor readable.
  */
 class Listener
 {
@@ -123,27 +127,79 @@ class Listener
     /** The locally bound port (the ephemeral one when 0 was asked). */
     std::uint16_t port() const { return port_; }
 
-    /**
-     * Wait for the next connection. Returns an invalid `Socket` once
-     * `close()` has been called; throws `kNetwork` on a real accept
-     * failure.
-     */
-    Socket accept();
+    /** The raw descriptor (for registering with a `Poller`). */
+    int fd() const { return fd_; }
 
     /**
-     * Stop listening and wake any blocked `accept` (thread-safe,
-     * idempotent). The descriptor itself is only released by the
-     * destructor, so a concurrent `accept` never touches a recycled
-     * fd. Called by the destructor too.
+     * Take one queued connection without blocking: a nonblocking
+     * `Socket` with Nagle off, or an invalid one when the queue is
+     * empty. Throws `kNetwork` on a real accept failure (e.g. out of
+     * descriptors).
+     */
+    Socket accept_pending();
+
+    /**
+     * Stop listening (idempotent; also run by the destructor): from
+     * here on connection attempts are refused.
      */
     void close();
 
   private:
     int fd_ = -1;
-    int wake_read_ = -1;   ///< Self-pipe: accept() polls this too.
-    int wake_write_ = -1;  ///< close() writes one byte to wake accept.
     std::uint16_t port_ = 0;
-    std::atomic<bool> closing_{false};
+};
+
+/**
+ * A level-triggered epoll set with an eventfd wakeup — the readiness
+ * primitive under the server's single loop thread. `add`/`modify`/
+ * `remove` may be called from any thread; `wait` from one.
+ */
+class Poller
+{
+  public:
+    /** One readiness report. */
+    struct Ready
+    {
+        int fd = -1;          ///< Registered descriptor; -1 for `wake()`.
+        bool readable = false;
+        bool writable = false;
+        bool hangup = false;  ///< The peer is gone (HUP or error).
+    };
+
+    /** @throws runtime::ServingError `kNetwork` when epoll is unavailable. */
+    Poller();
+    ~Poller();
+    Poller(const Poller&) = delete;
+    Poller& operator=(const Poller&) = delete;
+
+    /**
+     * Watch `fd` for readability and/or writability (hang-ups are
+     * always reported).
+     * @throws runtime::ServingError `kNetwork` when the kernel refuses.
+     */
+    void add(int fd, bool readable, bool writable);
+
+    /**
+     * Change the interest of a watched `fd`; false when the kernel
+     * refused (the fd then stays as it was).
+     */
+    bool modify(int fd, bool readable, bool writable);
+
+    /** Stop watching `fd` (before it is closed). */
+    void remove(int fd);
+
+    /**
+     * Block until a watched fd is ready or `wake()` was called, then
+     * fill `ready` (cleared first) with the reports.
+     */
+    void wait(std::vector<Ready>* ready);
+
+    /** Make a blocked or future `wait` return (thread-safe). */
+    void wake();
+
+  private:
+    int epoll_fd_ = -1;
+    int wake_fd_ = -1;  ///< eventfd registered in the set.
 };
 
 }  // namespace net

@@ -68,6 +68,22 @@ shim_config(const core::NoiseCollection* collection,
 
 }  // namespace
 
+PromisedCompletion
+promised_completion()
+{
+    auto promise = std::make_shared<std::promise<Tensor>>();
+    PromisedCompletion result;
+    result.future = promise->get_future();
+    result.done = [promise](Tensor output, const ServingError* error) {
+        if (error != nullptr) {
+            promise->set_exception(std::make_exception_ptr(*error));
+        } else {
+            promise->set_value(std::move(output));
+        }
+    };
+    return result;
+}
+
 int
 ServerStats::queue_wait_bucket(double ms)
 {
@@ -261,77 +277,99 @@ InferenceServer::~InferenceServer() { shutdown(); }
 std::future<Tensor>
 InferenceServer::submit(Tensor activation)
 {
-    return submit_impl(std::move(activation), /*has_id=*/false, 0);
+    PromisedCompletion promised = promised_completion();
+    submit_impl(std::move(activation), /*has_id=*/false, 0,
+                std::move(promised.done));
+    return std::move(promised.future);
 }
 
 std::future<Tensor>
 InferenceServer::submit(Tensor activation, std::uint64_t request_id)
 {
-    return submit_impl(std::move(activation), /*has_id=*/true, request_id);
-}
-
-std::future<Tensor>
-InferenceServer::submit_impl(Tensor activation, bool has_id,
-                             std::uint64_t request_id)
-{
-    Request request;
-    const Shape shape = activation.shape();
-    const std::int64_t numel = activation.size();
-    request.activation = std::move(activation);
-    return enqueue(std::move(request), shape, numel, has_id, request_id);
+    PromisedCompletion promised = promised_completion();
+    submit(std::move(activation), request_id, std::move(promised.done));
+    return std::move(promised.future);
 }
 
 std::future<Tensor>
 InferenceServer::submit_quantized(QuantizedTensor activation,
                                   std::uint64_t request_id)
 {
+    PromisedCompletion promised = promised_completion();
+    submit_quantized(std::move(activation), request_id,
+                     std::move(promised.done));
+    return std::move(promised.future);
+}
+
+void
+InferenceServer::submit(Tensor activation, std::uint64_t request_id,
+                        Completion done)
+{
+    submit_impl(std::move(activation), /*has_id=*/true, request_id,
+                std::move(done));
+}
+
+void
+InferenceServer::submit_impl(Tensor activation, bool has_id,
+                             std::uint64_t request_id, Completion done)
+{
+    Request request;
+    const Shape shape = activation.shape();
+    const std::int64_t numel = activation.size();
+    request.activation = std::move(activation);
+    request.done = std::move(done);
+    enqueue(std::move(request), shape, numel, has_id, request_id);
+}
+
+void
+InferenceServer::submit_quantized(QuantizedTensor activation,
+                                  std::uint64_t request_id, Completion done)
+{
     if (static_cast<std::int64_t>(activation.data.size()) !=
         activation.size() * dtype_bytes(activation.dtype)) {
-        std::promise<Tensor> promise;
-        std::future<Tensor> future = promise.get_future();
-        promise.set_exception(std::make_exception_ptr(ServingError(
+        const ServingError error(
             ServingErrorCode::kInvalidShape,
             "quantized payload byte count does not match shape " +
                 activation.shape.to_string() + " of " +
-                to_string(activation.dtype))));
-        return future;
+                to_string(activation.dtype));
+        done(Tensor(), &error);
+        return;
     }
     if (activation.dtype == WireDtype::kF32) {
         // A kF32 wire tensor IS the fp32 activation — serve it on the
         // plain path (dequantize is a straight copy here).
-        return submit_impl(dequantize(activation), /*has_id=*/true,
-                           request_id);
+        submit_impl(dequantize(activation), /*has_id=*/true, request_id,
+                    std::move(done));
+        return;
     }
     Request request;
     const Shape shape = activation.shape;
     const std::int64_t numel = activation.size();
     request.quantized = std::move(activation);
     request.is_quantized = true;
-    return enqueue(std::move(request), shape, numel, /*has_id=*/true,
-                   request_id);
+    request.done = std::move(done);
+    enqueue(std::move(request), shape, numel, /*has_id=*/true, request_id);
 }
 
-std::future<Tensor>
+void
 InferenceServer::enqueue(Request request, const Shape& shape,
                          std::int64_t numel, bool has_id,
                          std::uint64_t request_id)
 {
-    std::promise<Tensor> promise;
-    std::future<Tensor> future = promise.get_future();
-
-    // A bad request must fail its own future, never the server: other
-    // clients' in-flight work stays alive.
-    const auto reject = [&promise](ServingErrorCode code,
+    // A bad request must fail its own completion, never the server:
+    // other clients' in-flight work stays alive. Rejections run the
+    // callback outside every lock.
+    const auto reject = [&request](ServingErrorCode code,
                                    const std::string& why) {
-        promise.set_exception(
-            std::make_exception_ptr(ServingError(code, why)));
+        const ServingError error(code, why);
+        request.done(Tensor(), &error);
     };
 
     std::unique_lock<std::mutex> lock(mutex_);
     if (!accepting_) {
         lock.unlock();
         reject(ServingErrorCode::kShutdown, "submit after shutdown");
-        return future;
+        return;
     }
     if (sample_size_ == 0) {
         // No policy/config shape to dictate the contract: adopt the
@@ -342,7 +380,7 @@ InferenceServer::enqueue(Request request, const Shape& shape,
             reject(ServingErrorCode::kInvalidShape,
                    "per-sample activation must have rank 1-3, got " +
                        shape.to_string());
-            return future;
+            return;
         }
         sample_shape_ = shape;
         sample_size_ = numel;
@@ -354,14 +392,14 @@ InferenceServer::enqueue(Request request, const Shape& shape,
                "activation size " + std::to_string(numel) +
                    " does not match the cut's per-sample size " +
                    std::to_string(expected));
-        return future;
+        return;
     }
 
     // Admission control, still under mutex_ so checks serialize with
     // other submits. The cap check precedes the bucket so a
     // cap-rejected request does not also burn a token. Rejections are
-    // typed backpressure through the request's own future — queued
-    // and executing work is never affected.
+    // typed backpressure through the request's own completion —
+    // queued and executing work is never affected.
     if (config_.max_in_flight > 0 &&
         in_flight_requests_.load(std::memory_order_relaxed) >=
             config_.max_in_flight) {
@@ -373,7 +411,7 @@ InferenceServer::enqueue(Request request, const Shape& shape,
         reject(ServingErrorCode::kAdmissionReject,
                "endpoint at max_in_flight=" +
                    std::to_string(config_.max_in_flight));
-        return future;
+        return;
     }
     if (bucket_.enabled() && !bucket_.try_take(lifetime_.milliseconds())) {
         {
@@ -385,19 +423,24 @@ InferenceServer::enqueue(Request request, const Shape& shape,
                "endpoint rate limit " +
                    std::to_string(config_.rate_limit_qps) +
                    " qps exceeded");
-        return future;
+        return;
     }
     in_flight_requests_.fetch_add(1, std::memory_order_relaxed);
 
-    request.promise = std::move(promise);
     request.id = has_id ? request_id : kAutoIdBase + next_request_id_++;
     queue_.push_back(std::move(request));
+    const auto depth = static_cast<std::int64_t>(queue_.size());
     // Feed the arrival-rate EWMA (cheap; kept current even under the
     // fixed-timeout dispatcher so stats always show the traffic rate).
     controller_.on_arrival(lifetime_.milliseconds());
     lock.unlock();
-    cv_.notify_one();
-    return future;
+    // The dispatcher sleeps for exactly two things: a first request,
+    // and — inside a straggler window — a full batch. No other depth
+    // can end its wait, so those arrivals skip the wakeup and the
+    // context switch it costs.
+    if (depth == 1 || depth == config_.max_batch) {
+        cv_.notify_one();
+    }
 }
 
 Tensor
@@ -621,8 +664,8 @@ InferenceServer::execute_batch(std::vector<Request> batch)
                    "cloud forward returned ", logits.shape().to_string(),
                    " for a batch of ", n);
 
-    // Account the batch BEFORE fulfilling the promises: a caller that
-    // observes future.get() must see its own request in stats().
+    // Account the batch BEFORE running the completions: a caller that
+    // observes its answer must see its own request in stats().
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.requests += n;
@@ -643,12 +686,11 @@ InferenceServer::execute_batch(std::vector<Request> batch)
         Tensor row(Shape({classes}));
         std::copy(logits.data() + i * classes,
                   logits.data() + (i + 1) * classes, row.data());
-        batch[static_cast<std::size_t>(i)].promise.set_value(
-            std::move(row));
-        // Release the admission slot only after the promise resolves:
-        // the gauge never undercounts answered work, and a stale read
-        // on the submit path can only under-admit.
+        // Release the admission slot BEFORE the completion runs: a
+        // caller holding its answer may submit again at once and must
+        // not meet its own stale slot at the in-flight cap.
         in_flight_requests_.fetch_sub(1, std::memory_order_relaxed);
+        batch[static_cast<std::size_t>(i)].done(std::move(row), nullptr);
     }
 }
 

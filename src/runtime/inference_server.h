@@ -15,7 +15,13 @@
  *   queue depth when `adaptive_batching` is on)
  *   ──► thread pool (applies the endpoint's `NoisePolicy` per request,
  *   runs `SplitModel::cloud_forward` on the fused batch, scatters the
- *   logits back) ──► per-request future.
+ *   logits back) ──► per-request completion callback.
+ *
+ * Every request travels one path: the callback `submit` /
+ * `submit_quantized`. The future-returning forms are thin wrappers
+ * that resolve a promise from the callback; the network front door
+ * (src/net/server.h) uses the callbacks directly, so the worker that
+ * finishes a batch also hands each response to its connection.
  *
  * The noise mechanism is pluggable: the server executes whatever
  * `NoisePolicy` it was built with — no noise, replay from a stored
@@ -53,6 +59,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -75,6 +82,31 @@
 
 namespace shredder {
 namespace runtime {
+
+/**
+ * How one request ends. On success `error` is null and `output` holds
+ * the sample's logits (rank 1); on failure `error` is the typed reason
+ * and `output` is empty. Called exactly once per submit: on the
+ * submitting thread when the request is rejected up front (shape,
+ * shutdown, admission), otherwise on the pool worker that ran its
+ * batch. It must not throw, and should be quick — later requests of
+ * the same batch wait for it.
+ */
+using Completion =
+    std::function<void(Tensor output, const ServingError* error)>;
+
+/**
+ * A promise-backed `Completion` and the future it resolves: the
+ * future-returning submits are exactly this plus the callback submit.
+ */
+struct PromisedCompletion
+{
+    std::future<Tensor> future;
+    Completion done;
+};
+
+/** Build a `PromisedCompletion` (a fresh promise and its future). */
+PromisedCompletion promised_completion();
 
 /** Serving knobs. */
 struct InferenceServerConfig
@@ -375,6 +407,18 @@ class InferenceServer
     std::future<Tensor> submit_quantized(QuantizedTensor activation,
                                          std::uint64_t request_id);
 
+    /**
+     * The callback form of `submit(activation, request_id)` — the one
+     * request path every other submit wraps. `done` runs exactly once
+     * (see `Completion`); rejections reach it before this returns.
+     */
+    void submit(Tensor activation, std::uint64_t request_id,
+                Completion done);
+
+    /** The callback form of `submit_quantized` (see `submit` above). */
+    void submit_quantized(QuantizedTensor activation,
+                          std::uint64_t request_id, Completion done);
+
     /** Blocking convenience wrapper around `submit`. */
     Tensor infer(const Tensor& activation);
 
@@ -435,7 +479,7 @@ class InferenceServer
         Tensor activation;         ///< Set when !is_quantized.
         QuantizedTensor quantized; ///< Set when is_quantized.
         bool is_quantized = false;
-        std::promise<Tensor> promise;
+        Completion done;       ///< Receives the logits or the failure.
         std::uint64_t id = 0;  ///< Selects the noise draw.
         Stopwatch queued;      ///< Started at submit time.
     };
@@ -445,17 +489,18 @@ class InferenceServer
                     std::unique_ptr<const NoisePolicy> owned_policy,
                     const InferenceServerConfig& config);
 
-    /** Shared submit path; has_id=false auto-assigns from the counter. */
-    std::future<Tensor> submit_impl(Tensor activation, bool has_id,
-                                    std::uint64_t request_id);
+    /** Shared fp32 submit path; has_id=false auto-assigns the id. */
+    void submit_impl(Tensor activation, bool has_id,
+                     std::uint64_t request_id, Completion done);
 
     /**
-     * Validate + enqueue a built request. `shape`/`numel` describe
-     * the incoming activation in either encoding.
+     * Validate + enqueue a built request (its `done` is set).
+     * `shape`/`numel` describe the incoming activation in either
+     * encoding. Wakes the dispatcher only when its wait can end: the
+     * queue became non-empty or reached `max_batch`.
      */
-    std::future<Tensor> enqueue(Request request, const Shape& shape,
-                                std::int64_t numel, bool has_id,
-                                std::uint64_t request_id);
+    void enqueue(Request request, const Shape& shape, std::int64_t numel,
+                 bool has_id, std::uint64_t request_id);
 
     /**
      * Inspect the cloud half at construction: when the cut lands on
@@ -527,9 +572,9 @@ class InferenceServer
     /**
      * Gauge of requests admitted but not yet answered. Incremented
      * under `mutex_` on the submit path (so cap checks serialize with
-     * each other); decremented on batch workers after each promise is
-     * fulfilled — atomic so the decrement needs no queue lock. A
-     * momentarily stale read can only under-admit, never over-admit.
+     * each other); decremented on batch workers just before each
+     * completion runs — atomic so the decrement needs no queue lock.
+     * A momentarily stale read can only under-admit, never over-admit.
      */
     std::atomic<std::int64_t> in_flight_requests_{0};
 

@@ -198,22 +198,25 @@ ServingEngine::find(const std::string& name) const
     return it != endpoints_.end() ? it->second : nullptr;
 }
 
+namespace {
+
+ServingError
+unknown_endpoint(const std::string& name)
+{
+    return ServingError(ServingErrorCode::kUnknownEndpoint,
+                        "no endpoint named '" + name + "'");
+}
+
+}  // namespace
+
 std::future<Tensor>
 ServingEngine::submit(const std::string& name, Tensor activation,
                       std::uint64_t request_id)
 {
-    const std::shared_ptr<Endpoint> endpoint = find(name);
-    if (endpoint == nullptr) {
-        std::promise<Tensor> promise;
-        promise.set_exception(std::make_exception_ptr(ServingError(
-            ServingErrorCode::kUnknownEndpoint,
-            "no endpoint named '" + name + "'")));
-        return promise.get_future();
-    }
-    // The endpoint's server does its own accepting/shape/admission
-    // validation (kShutdown / kInvalidShape / kRateLimited /
-    // kAdmissionReject) — outside the engine lock.
-    return endpoint->server->submit(std::move(activation), request_id);
+    PromisedCompletion promised = promised_completion();
+    submit(name, std::move(activation), request_id,
+           std::move(promised.done));
+    return std::move(promised.future);
 }
 
 std::future<Tensor>
@@ -221,11 +224,10 @@ ServingEngine::submit(const std::string& name, Tensor activation)
 {
     const std::shared_ptr<Endpoint> endpoint = find(name);
     if (endpoint == nullptr) {
-        std::promise<Tensor> promise;
-        promise.set_exception(std::make_exception_ptr(ServingError(
-            ServingErrorCode::kUnknownEndpoint,
-            "no endpoint named '" + name + "'")));
-        return promise.get_future();
+        PromisedCompletion promised = promised_completion();
+        const ServingError error = unknown_endpoint(name);
+        promised.done(Tensor(), &error);
+        return std::move(promised.future);
     }
     return endpoint->server->submit(std::move(activation));
 }
@@ -235,16 +237,42 @@ ServingEngine::submit_quantized(const std::string& name,
                                 QuantizedTensor activation,
                                 std::uint64_t request_id)
 {
+    PromisedCompletion promised = promised_completion();
+    submit_quantized(name, std::move(activation), request_id,
+                     std::move(promised.done));
+    return std::move(promised.future);
+}
+
+void
+ServingEngine::submit(const std::string& name, Tensor activation,
+                      std::uint64_t request_id, Completion done)
+{
     const std::shared_ptr<Endpoint> endpoint = find(name);
     if (endpoint == nullptr) {
-        std::promise<Tensor> promise;
-        promise.set_exception(std::make_exception_ptr(ServingError(
-            ServingErrorCode::kUnknownEndpoint,
-            "no endpoint named '" + name + "'")));
-        return promise.get_future();
+        const ServingError error = unknown_endpoint(name);
+        done(Tensor(), &error);
+        return;
     }
-    return endpoint->server->submit_quantized(std::move(activation),
-                                              request_id);
+    // The endpoint's server does its own accepting/shape/admission
+    // validation (kShutdown / kInvalidShape / kRateLimited /
+    // kAdmissionReject) — outside the engine lock.
+    endpoint->server->submit(std::move(activation), request_id,
+                             std::move(done));
+}
+
+void
+ServingEngine::submit_quantized(const std::string& name,
+                                QuantizedTensor activation,
+                                std::uint64_t request_id, Completion done)
+{
+    const std::shared_ptr<Endpoint> endpoint = find(name);
+    if (endpoint == nullptr) {
+        const ServingError error = unknown_endpoint(name);
+        done(Tensor(), &error);
+        return;
+    }
+    endpoint->server->submit_quantized(std::move(activation), request_id,
+                                       std::move(done));
 }
 
 Tensor

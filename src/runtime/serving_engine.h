@@ -31,8 +31,8 @@
  * Failures are typed (`ServingError`): setup mistakes
  * (`kNoPolicy`, `kDuplicateEndpoint`, `kShutdown`) throw from
  * `register_endpoint`; per-request problems (`kUnknownEndpoint`,
- * `kInvalidShape`, `kShutdown`) fail the request's own future and
- * never disturb other traffic.
+ * `kInvalidShape`, `kShutdown`) fail the request's own future (or
+ * completion callback) and never disturb other traffic.
  */
 #ifndef SHREDDER_RUNTIME_SERVING_ENGINE_H
 #define SHREDDER_RUNTIME_SERVING_ENGINE_H
@@ -255,6 +255,22 @@ class ServingEngine
     std::future<Tensor> submit_quantized(const std::string& name,
                                          QuantizedTensor activation,
                                          std::uint64_t request_id);
+
+    /**
+     * The callback form of `submit(name, activation, request_id)` —
+     * the request path the future forms wrap and the network front
+     * door calls directly. `done` runs exactly once
+     * (`runtime::Completion`): before this returns for an unknown
+     * endpoint or any up-front rejection, otherwise on the pool worker
+     * that ran the request's batch.
+     */
+    void submit(const std::string& name, Tensor activation,
+                std::uint64_t request_id, Completion done);
+
+    /** The callback form of `submit_quantized` (see `submit` above). */
+    void submit_quantized(const std::string& name,
+                          QuantizedTensor activation,
+                          std::uint64_t request_id, Completion done);
 
     /** Blocking convenience wrapper around `submit`. */
     Tensor infer(const std::string& name, const Tensor& activation);

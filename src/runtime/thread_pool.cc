@@ -5,7 +5,6 @@
 #include "src/runtime/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "src/runtime/logging.h"
@@ -119,30 +118,27 @@ parallel_for(std::int64_t begin, std::int64_t end,
     }
     const std::int64_t chunks = std::min<std::int64_t>(workers, n);
     const std::int64_t chunk = (n + chunks - 1) / chunks;
-    std::atomic<int> remaining{0};
+    // The synchronization state lives on the caller's stack, so the last
+    // chunk must be done with it before the caller can return: it
+    // decrements and notifies while holding `done_mutex`, and the caller
+    // cannot see zero until that lock is released.
+    std::int64_t remaining = (n + chunk - 1) / chunk;
     std::mutex done_mutex;
     std::condition_variable done_cv;
-    for (std::int64_t c = 0; c < chunks; ++c) {
-        const std::int64_t lo = begin + c * chunk;
+    for (std::int64_t lo = begin; lo < end; lo += chunk) {
         const std::int64_t hi = std::min(end, lo + chunk);
-        if (lo >= hi) {
-            break;
-        }
-        remaining.fetch_add(1, std::memory_order_relaxed);
         pool.submit([lo, hi, &fn, &remaining, &done_mutex, &done_cv] {
             for (std::int64_t i = lo; i < hi; ++i) {
                 fn(i);
             }
-            if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(done_mutex);
+            std::lock_guard<std::mutex> lock(done_mutex);
+            if (--remaining == 0) {
                 done_cv.notify_all();
             }
         });
     }
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&remaining] {
-        return remaining.load(std::memory_order_acquire) == 0;
-    });
+    done_cv.wait(lock, [&remaining] { return remaining == 0; });
 }
 
 }  // namespace shredder

@@ -9,14 +9,21 @@
  * error or a clean close, and the server must keep serving afterwards.
  * Network input must never crash the process.
  */
+#include <chrono>
 #include <cstring>
+#include <iterator>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include "src/core/noise_collection.h"
 #include "src/core/noise_distribution.h"
@@ -236,6 +243,272 @@ TEST(NetServer, PipelinedRequestsAnswerInOrderWithIds)
         const Tensor direct =
             fx.engine->submit("lenet", sent[id], id).get();
         EXPECT_DOUBLE_EQ(ops::max_abs_diff(response.output, direct), 0.0);
+    }
+}
+
+// -- Front door: one readiness loop --------------------------------------
+
+/** Threads in this process right now (`/proc/self/task` entries). */
+std::ptrdiff_t
+thread_count()
+{
+    return std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator());
+}
+
+/** A request frame for `activation` under `id`. */
+std::string
+request_frame(const Tensor& activation, std::uint64_t id,
+              const std::string& endpoint = "lenet")
+{
+    net::Request request;
+    request.request_id = id;
+    request.endpoint = endpoint;
+    request.activation = activation;
+    return net::encode_request(request);
+}
+
+/** True once `socket` has bytes or EOF to read, within `ms`. */
+bool
+readable_within(const net::Socket& socket, int ms)
+{
+    pollfd ready{};
+    ready.fd = socket.fd();
+    ready.events = POLLIN;
+    return ::poll(&ready, 1, ms) == 1;
+}
+
+/** Read one response off a raw socket; it must answer `id` bit-exactly. */
+void
+expect_answer(Fixture& fx, net::Socket& socket, const Tensor& activation,
+              std::uint64_t id)
+{
+    std::string payload;
+    ASSERT_TRUE(net::read_frame(socket, net::kResponseMagic, &payload));
+    const net::Response response = net::decode_response_payload(payload);
+    ASSERT_EQ(response.status, net::WireStatus::kOk) << response.message;
+    EXPECT_EQ(response.request_id, id);
+    const Tensor direct = fx.engine->submit("lenet", activation, id).get();
+    EXPECT_DOUBLE_EQ(ops::max_abs_diff(response.output, direct), 0.0) << id;
+}
+
+TEST(NetServer, PipelineBeyondInflightBoundIsAnsweredInFifoOrder)
+{
+    Fixture fx;
+    net::ServerConfig config;
+    config.max_inflight_per_connection = 4;
+    net::Server bounded(*fx.engine, config);
+    net::Client client("127.0.0.1", bounded.port());
+
+    // Sixteen times the bound, all sent before any answer is read: the
+    // server stops reading at four unanswered frames and resumes as
+    // answers drain, and must neither drop nor reorder one.
+    constexpr std::uint64_t kFrames = 64;
+    std::vector<Tensor> sent;
+    for (std::uint64_t id = 0; id < kFrames; ++id) {
+        sent.push_back(fx.sample_activation());
+        client.send("lenet", sent.back(), id);
+    }
+    for (std::uint64_t id = 0; id < kFrames; ++id) {
+        const net::Response response = client.recv();
+        ASSERT_EQ(response.status, net::WireStatus::kOk) << response.message;
+        EXPECT_EQ(response.request_id, id);  // FIFO per connection
+        const Tensor direct =
+            fx.engine->submit("lenet", sent[id], id).get();
+        EXPECT_DOUBLE_EQ(ops::max_abs_diff(response.output, direct), 0.0)
+            << id;
+    }
+    EXPECT_EQ(bounded.stats().frames_served,
+              static_cast<std::int64_t>(kFrames));
+}
+
+/**
+ * Shrink the send buffer of the listening socket on `port`, found
+ * among this process's descriptors. Accepted sockets inherit it, so the
+ * server's answers back up into a kernel buffer small enough to fill.
+ */
+void
+shrink_listener_send_buffer(std::uint16_t port, int bytes)
+{
+    for (int fd = 0; fd < 4096; ++fd) {
+        sockaddr_in addr{};
+        socklen_t addr_len = sizeof(addr);
+        int listening = 0;
+        socklen_t flag_len = sizeof(listening);
+        if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len) == 0 &&
+            addr.sin_family == AF_INET && ntohs(addr.sin_port) == port &&
+            ::getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening,
+                         &flag_len) == 0 &&
+            listening != 0) {
+            ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes,
+                                   sizeof(bytes)),
+                      0);
+            return;
+        }
+    }
+    FAIL() << "no listening socket on port " << port;
+}
+
+TEST(NetServer, ReaderThatFallsBehindGetsEveryAnswerInOrder)
+{
+    Fixture fx;
+    shrink_listener_send_buffer(fx.server->port(), 4096);
+    net::Socket socket =
+        net::Socket::connect("127.0.0.1", fx.server->port());
+
+    // The client sends thousands of frames but reads nothing for a
+    // while: answers fill the kernel's buffers, the server must keep
+    // the rest until the socket drains (EPOLLOUT) and stop reading at
+    // its in-flight bound meanwhile, then deliver all of them in order.
+    constexpr std::uint64_t kFrames = 4000;
+    const Tensor activation = fx.sample_activation();
+    std::string frames;
+    for (std::uint64_t id = 0; id < kFrames; ++id) {
+        frames += request_frame(activation, id);
+    }
+    std::thread sender(
+        [&socket, &frames] { socket.send_all(frames.data(), frames.size()); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    std::uint64_t in_order = 0;
+    std::string payload;
+    while (in_order < kFrames &&
+           net::read_frame(socket, net::kResponseMagic, &payload)) {
+        const net::Response response = net::decode_response_payload(payload);
+        if (response.status != net::WireStatus::kOk ||
+            response.request_id != in_order) {
+            break;
+        }
+        ++in_order;
+    }
+    if (in_order < kFrames) {
+        socket.shutdown_both();  // unblock the sender before joining
+    }
+    sender.join();
+    ASSERT_EQ(in_order, kFrames);
+
+    const std::string last = request_frame(activation, kFrames);
+    socket.send_all(last.data(), last.size());
+    expect_answer(fx, socket, activation, kFrames);
+}
+
+TEST(NetServer, IdleConnectionsAddNoThreads)
+{
+    Fixture fx;
+    expect_still_serving(fx, 1);  // every lazily started thread is up
+    const std::ptrdiff_t before = thread_count();
+
+    constexpr std::int64_t kIdle = 256;
+    std::vector<net::Socket> idle;
+    for (std::int64_t i = 0; i < kIdle; ++i) {
+        idle.push_back(net::Socket::connect("127.0.0.1", fx.server->port()));
+    }
+    for (int wait = 0;
+         wait < 5000 && fx.server->stats().connections_accepted < kIdle + 1;
+         ++wait) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(fx.server->stats().connections_accepted, kIdle + 1);
+    EXPECT_GE(fx.server->stats().connections_active, kIdle);
+    // One loop thread serves them all: no thread per connection.
+    EXPECT_EQ(thread_count(), before);
+    // And a real client is still answered among them.
+    expect_still_serving(fx, 2);
+}
+
+TEST(NetServer, DisconnectWithRequestsInFlightKeepsServing)
+{
+    Fixture fx;
+    {
+        net::Client client("127.0.0.1", fx.server->port());
+        for (std::uint64_t id = 0; id < 16; ++id) {
+            client.send("lenet", fx.sample_activation(), id);
+        }
+        client.close();  // gone with up to 16 answers still owed
+    }
+    expect_still_serving(fx, 100);
+    // Owed answers complete against a dead link; stop() must still
+    // return once they have.
+    fx.server->stop();
+}
+
+TEST(NetServer, FramesSplitIntoBytesOrCoalescedAreAnswered)
+{
+    Fixture fx;
+    net::Socket socket =
+        net::Socket::connect("127.0.0.1", fx.server->port());
+
+    // One frame dribbled a byte per send (Nagle is off, so each byte is
+    // its own segment): the loop reassembles it across many reads.
+    const Tensor single = fx.sample_activation();
+    const std::string frame = request_frame(single, 1);
+    for (const char byte : frame) {
+        socket.send_all(&byte, 1);
+    }
+    expect_answer(fx, socket, single, 1);
+
+    // Eight frames in one send: the loop cuts all of them out of the
+    // same buffer and answers each, in order.
+    std::vector<Tensor> burst_acts;
+    std::string burst;
+    for (std::uint64_t id = 10; id < 18; ++id) {
+        burst_acts.push_back(fx.sample_activation());
+        burst += request_frame(burst_acts.back(), id);
+    }
+    socket.send_all(burst.data(), burst.size());
+    for (std::uint64_t id = 10; id < 18; ++id) {
+        expect_answer(fx, socket, burst_acts[id - 10], id);
+    }
+}
+
+TEST(NetServer, BurstPastTheBoundThenHalfCloseIsFullyAnswered)
+{
+    Fixture fx;
+    // Each request ships the moment it arrives, so answers come back
+    // while the loop is still between cutting frames and pausing its
+    // reads: the window in which a resume can be lost.
+    EndpointConfig now;
+    now.max_batch = 1;
+    now.batch_timeout_ms = 0.0;
+    fx.engine->register_endpoint(
+        "now", fx.model,
+        std::make_shared<ReplayPolicy>(fx.collection, 0xFACE), now);
+    const Tensor activation = fx.sample_activation();
+
+    for (const std::int64_t bound : {1, 2}) {
+        net::ServerConfig config;
+        config.max_inflight_per_connection = bound;
+        net::Server bounded(*fx.engine, config);
+        for (int round = 0; round < 100; ++round) {
+            // Two to four times the bound in one send, then the write
+            // side closes: every whole frame already sent is owed an
+            // answer, in order, before the server's EOF.
+            const auto frames =
+                static_cast<std::uint64_t>(bound * (2 + round % 3));
+            std::string burst;
+            for (std::uint64_t id = 0; id < frames; ++id) {
+                burst += request_frame(activation, id, "now");
+            }
+            net::Socket socket =
+                net::Socket::connect("127.0.0.1", bounded.port());
+            socket.send_all(burst.data(), burst.size());
+            socket.shutdown_send();
+
+            std::uint64_t answered = 0;
+            std::string payload;
+            while (readable_within(socket, 10000) &&
+                   net::read_frame(socket, net::kResponseMagic, &payload)) {
+                const net::Response response =
+                    net::decode_response_payload(payload);
+                ASSERT_EQ(response.status, net::WireStatus::kOk)
+                    << response.message;
+                ASSERT_EQ(response.request_id, answered);
+                ++answered;
+            }
+            ASSERT_EQ(answered, frames)
+                << "bound " << bound << ", round " << round;
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 /** @file Unit tests for the runtime substrate (pool, logging). */
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,6 +75,45 @@ TEST(ParallelFor, ComputesCorrectSum)
     const double total =
         std::accumulate(parts.begin(), parts.end(), 0.0);
     EXPECT_DOUBLE_EQ(total, 999.0 * 1000.0 / 2.0);
+}
+
+TEST(ParallelFor, ConcurrentCallersOutliveTheirChunks)
+{
+    // Each call's completion state lives on its caller's stack. Many
+    // tiny calls from several threads at once make the last chunk of
+    // one call race its caller's return; a chunk still touching that
+    // stack after the return aborts or corrupts the next call (ASan
+    // with detect_stack_use_after_return reports it directly). Bounded
+    // by calls and by wall time so sanitizer builds stay quick.
+    constexpr int kThreads = 3;
+    constexpr int kMaxCalls = 200000;
+    constexpr double kMaxSeconds = 3.0;
+    std::vector<std::int64_t> calls(kThreads, 0);
+    std::vector<std::int64_t> wrong(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&calls, &wrong, t] {
+            const Stopwatch clock;
+            auto& done = calls[static_cast<std::size_t>(t)];
+            while (done < kMaxCalls && clock.seconds() < kMaxSeconds) {
+                std::atomic<int> sum{0};
+                parallel_for(0, 4, [&sum](std::int64_t i) {
+                    sum.fetch_add(static_cast<int>(i) + 1);
+                });
+                if (sum.load() != 10) {
+                    ++wrong[static_cast<std::size_t>(t)];
+                }
+                ++done;
+            }
+        });
+    }
+    for (auto& thread : threads) {
+        thread.join();
+    }
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_GT(calls[static_cast<std::size_t>(t)], 0) << t;
+        EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0) << t;
+    }
 }
 
 TEST(Logging, LevelFilterRoundTrip)
