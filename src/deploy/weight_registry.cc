@@ -4,8 +4,6 @@
  */
 #include "src/deploy/weight_registry.h"
 
-#include <sstream>
-#include <string>
 #include <utility>
 
 #include "src/nn/arch.h"
@@ -14,64 +12,26 @@
 namespace shredder {
 namespace deploy {
 
-namespace {
-
-/**
- * The canonical content key: the network's deterministic SARC byte
- * stream (topology + layer configs + parameters). Two networks map to
- * equal bytes iff `load_arch` would rebuild indistinguishable models.
- */
-std::string
-canonical_bytes(const nn::Sequential& net)
-{
-    std::ostringstream os;
-    nn::save_arch(os, net);
-    return os.str();
-}
-
-/** FNV-1a 64-bit over the canonical bytes (prune-only; see header). */
-std::uint64_t
-fnv1a64(const std::string& bytes)
-{
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    for (const char c : bytes) {
-        hash ^= static_cast<std::uint8_t>(c);
-        hash *= 0x100000001B3ULL;
-    }
-    return hash;
-}
-
-}  // namespace
-
 std::shared_ptr<nn::Sequential>
 WeightRegistry::intern(std::shared_ptr<nn::Sequential> net)
 {
     SHREDDER_CHECK(net != nullptr, "intern() of a null network");
-    const std::string bytes = canonical_bytes(*net);
-    const std::uint64_t hash = fnv1a64(bytes);
+    const std::uint64_t hash = nn::arch_hash(*net);
     const std::int64_t param_bytes =
         net->num_parameters() * static_cast<std::int64_t>(sizeof(float));
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.interned_networks;
     for (const Entry& entry : entries_) {
-        if (entry.hash != hash ||
-            entry.byte_count !=
-                static_cast<std::int64_t>(bytes.size())) {
-            continue;
-        }
-        // Hash hit: equality is decided by bytes, never by the hash
-        // alone — a collision must not alias two different weight
-        // sets. Re-serializing the canonical trades load-time CPU for
-        // not keeping a second copy of every unique weight set alive.
-        if (canonical_bytes(*entry.network) == bytes) {
+        // Equality is decided on the content, never by the hash alone:
+        // a collision must not alias two different weight sets.
+        if (entry.hash == hash && nn::same_arch(*entry.network, *net)) {
             stats_.weights_dedupe_bytes += entry.param_bytes;
             return entry.network;
         }
     }
     Entry entry;
     entry.hash = hash;
-    entry.byte_count = static_cast<std::int64_t>(bytes.size());
     entry.param_bytes = param_bytes;
     entry.network = std::move(net);
     entries_.push_back(entry);

@@ -10,14 +10,18 @@
  * interning a zoo of same-backbone endpoints multiplies the weight
  * memory by the endpoint count.
  *
- * The registry fixes this at bundle-load time: `intern` serializes a
- * candidate network through the deterministic `SARC` codec
- * (src/nn/arch.h — topology, layer configs, and parameters in one
- * canonical byte stream), hashes the bytes, and returns the canonical
- * network for that exact content. On a hash hit the stored canonical
- * is re-serialized and byte-compared before aliasing, so a hash
- * collision can never alias two *different* weight sets — equality is
- * decided by bytes, the hash only prunes candidates.
+ * The registry fixes this at bundle-load time: `intern` returns the
+ * canonical network for a candidate's exact content. "Same content"
+ * is what the `SARC` codec (src/nn/arch.h) defines — equal layer
+ * kinds, config bytes, parameter shapes and parameter bits, i.e. the
+ * networks `save_arch` would write as equal bytes — but the network is
+ * not serialized (only each layer's few config bytes are):
+ * `nn::arch_hash` keys the candidate's parameters in place, a word at
+ * a time, and on a hash hit `nn::same_arch` compares them with the
+ * stored canonical's in place before aliasing. So a hash collision can never
+ * alias two *different* weight sets; the hash only prunes candidates.
+ * Parameters compare by bit pattern, so −0.0 and +0.0 never alias and
+ * identical NaN payloads do.
  *
  * Interning is load-time only. Serving never touches the registry:
  * endpoints hold plain `shared_ptr`s to immutable networks and the
@@ -65,9 +69,9 @@ class WeightRegistry
      * canonical is returned and `net` is released — the caller should
      * replace every reference with the returned pointer.
      *
-     * Thread-safe; cost is one SARC serialization of `net` (plus one
-     * of each same-hash canonical), which is why this runs at load
-     * time and never on the serving path.
+     * Thread-safe; cost is one read of `net`'s parameters to hash
+     * them, plus one side-by-side compare with each same-hash
+     * canonical. That is load-time work; serving never calls this.
      */
     std::shared_ptr<nn::Sequential> intern(
         std::shared_ptr<nn::Sequential> net);
@@ -78,8 +82,7 @@ class WeightRegistry
   private:
     struct Entry
     {
-        std::uint64_t hash = 0;       ///< FNV-1a 64 of the SARC bytes.
-        std::int64_t byte_count = 0;  ///< SARC stream length.
+        std::uint64_t hash = 0;       ///< `nn::arch_hash` of the network.
         std::int64_t param_bytes = 0; ///< Parameter payload (fp32).
         std::shared_ptr<nn::Sequential> network;
     };

@@ -31,7 +31,9 @@ protocol_error(const std::string& what)
  * A read-only stream buffer over borrowed bytes, so the checked wire
  * readers parse a payload where it lies (a socket buffer, a frame
  * string) instead of from a stringstream copy of it. It never writes:
- * there is no put area and put-back only moves the read position.
+ * there is no put area, and put-back and seeks only move the read
+ * position. Seeking lets a tensor reader see how many bytes are left
+ * before it allocates for a payload the header claims.
  */
 class ViewBuffer : public std::streambuf
 {
@@ -46,6 +48,26 @@ class ViewBuffer : public std::streambuf
     std::size_t remaining() const
     {
         return static_cast<std::size_t>(egptr() - gptr());
+    }
+
+  protected:
+    pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                     std::ios_base::openmode) override
+    {
+        const char* from = dir == std::ios_base::beg   ? eback()
+                           : dir == std::ios_base::cur ? gptr()
+                                                       : egptr();
+        const off_type to = (from - eback()) + off;
+        if (to < 0 || to > egptr() - eback()) {
+            return pos_type(off_type(-1));
+        }
+        setg(eback(), eback() + to, egptr());
+        return pos_type(to);
+    }
+
+    pos_type seekpos(pos_type pos, std::ios_base::openmode which) override
+    {
+        return seekoff(off_type(pos), std::ios_base::beg, which);
     }
 };
 

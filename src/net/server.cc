@@ -35,6 +35,9 @@ constexpr std::size_t kReadChunk = 16 * 1024;
  */
 constexpr std::size_t kMaxHttpHeader = 8192;
 
+/** How long the listener stays unwatched after a failed accept. */
+constexpr std::chrono::milliseconds kAcceptRetry{100};
+
 }  // namespace
 
 /**
@@ -195,7 +198,18 @@ Server::loop()
     std::vector<Poller::Ready> ready;
     std::vector<std::shared_ptr<Connection>> attention;
     for (;;) {
-        poller_.wait(&ready);
+        int timeout_ms = -1;
+        if (accept_paused_) {
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                accept_retry_at_ - std::chrono::steady_clock::now());
+            timeout_ms = static_cast<int>(
+                std::max<std::int64_t>(0, left.count()));
+        }
+        poller_.wait(&ready, timeout_ms);
+        if (accept_paused_ &&
+            std::chrono::steady_clock::now() >= accept_retry_at_) {
+            accept_ready();
+        }
         bool woken = false;
         for (const Poller::Ready& r : ready) {
             if (r.fd == -1) {
@@ -240,9 +254,24 @@ Server::accept_ready()
         try {
             socket = listener_.accept_pending();
         } catch (const ServingError&) {
-            return;  // e.g. out of descriptors; retried on the next event
+            // Out of descriptors, most likely: the queued connection
+            // stays ready, so stop watching the listener for a while.
+            if (!accept_paused_) {
+                poller_.modify(listener_.fd(), false, false);
+                accept_paused_ = true;
+            }
+            accept_retry_at_ = std::chrono::steady_clock::now() + kAcceptRetry;
+            return;
         }
         if (!socket.valid()) {
+            if (accept_paused_) {
+                // Drained: watch the listener again. Should the kernel
+                // refuse, the retry timer keeps accepting meanwhile.
+                accept_paused_ =
+                    !poller_.modify(listener_.fd(), true, false);
+                accept_retry_at_ =
+                    std::chrono::steady_clock::now() + kAcceptRetry;
+            }
             return;  // accept queue drained
         }
         auto connection = std::make_shared<Connection>(std::move(socket));
@@ -513,6 +542,8 @@ Server::close_connection(Connection& c)
         c.link_dead = true;  // late completions only retire their slots
     }
     poller_.remove(fd);
+    // A paused listener may find a free descriptor now.
+    accept_retry_at_ = {};
     // Signal EOF so a half-closed client's read loop ends cleanly. The
     // descriptor itself is released with the last reference (a worker
     // may still hold one), so its number is never reused under it.

@@ -41,6 +41,11 @@
  * on the loop thread, so a scrape holds up I/O on every connection
  * while it renders (docs/PERFORMANCE.md gives the cost per endpoint).
  *
+ * Out of descriptors, `accept` fails while the connection stays
+ * queued; the loop then stops watching the listener and retries after
+ * a short delay or as soon as a connection closes, so it sleeps
+ * instead of spinning.
+ *
  * Lifecycle: the constructor binds and starts the loop; `stop()`
  * (idempotent, also run by the destructor) stops the loop, closes the
  * listener and every connection, and waits for the engine to finish
@@ -51,6 +56,7 @@
 #define SHREDDER_NET_SERVER_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -127,7 +133,12 @@ class Server
     /** The readiness loop (its own thread). */
     void loop();
 
-    /** Accept every queued connection. */
+    /**
+     * Accept every queued connection. When accepting fails (out of
+     * descriptors) the listener is unwatched until `accept_retry_at_`
+     * — a level-triggered listener would otherwise wake the loop again
+     * at once and spin it.
+     */
     void accept_ready();
 
     /**
@@ -165,6 +176,13 @@ class Server
 
     /** Open connections by fd (loop thread only, then `stop()`). */
     std::unordered_map<int, std::shared_ptr<Connection>> connections_;
+    /** The listener is unwatched after a failed accept (loop thread). */
+    bool accept_paused_ = false;
+    /**
+     * When a paused listener is tried again: a short delay after the
+     * failure, or at once after a connection closes (loop thread).
+     */
+    std::chrono::steady_clock::time_point accept_retry_at_;
 
     /** Guards stats_, attention_, stopping_ and outstanding_. */
     mutable std::mutex mutex_;

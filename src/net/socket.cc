@@ -322,12 +322,12 @@ Poller::remove(int fd)
 }
 
 void
-Poller::wait(std::vector<Ready>* ready)
+Poller::wait(std::vector<Ready>* ready, int timeout_ms)
 {
     epoll_event events[64];
     int n = -1;
     while (n < 0) {
-        n = ::epoll_wait(epoll_fd_, events, 64, -1);
+        n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
         if (n < 0 && errno != EINTR) {
             throw_errno("epoll_wait failed");
         }

@@ -189,10 +189,11 @@ class Poller
     void remove(int fd);
 
     /**
-     * Block until a watched fd is ready or `wake()` was called, then
-     * fill `ready` (cleared first) with the reports.
+     * Block until a watched fd is ready, `wake()` was called or
+     * `timeout_ms` passed (-1: no limit), then fill `ready` (cleared
+     * first) with the reports — none after a timeout.
      */
-    void wait(std::vector<Ready>* ready);
+    void wait(std::vector<Ready>* ready, int timeout_ms = -1);
 
     /** Make a blocked or future `wait` return (thread-safe). */
     void wake();

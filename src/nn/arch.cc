@@ -5,6 +5,7 @@
  */
 #include "src/nn/arch.h"
 
+#include <cstring>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -33,25 +34,17 @@ struct KindCodec
 {
     /** Serialize the layer's static config (not its parameters). */
     void (*write_config)(std::ostream&, const Layer&);
-    /** Rebuild the layer from its config; parameters loaded after. */
-    LayerPtr (*read_config)(std::istream&);
+    /**
+     * Rebuild the layer from its config blob, reading its parameter
+     * tensors (if it has any) from the stream first and constructing
+     * the layer around them.
+     */
+    LayerPtr (*read)(std::istream& config, std::istream& params);
 };
-
-/**
- * Weight-init randomness for factory-constructed layers. The values
- * are irrelevant — `load_arch` overwrites every parameter from the
- * stream right after construction — but the ctors require a source.
- */
-Rng&
-init_rng()
-{
-    thread_local Rng rng(0);
-    return rng;
-}
 
 template <typename L>
 LayerPtr
-make_plain(std::istream&)
+make_plain(std::istream&, std::istream&)
 {
     return std::make_unique<L>();
 }
@@ -89,7 +82,7 @@ registry()
               wire::write_f32(os,
                               static_cast<const LeakyReLU&>(l).slope());
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream&) -> LayerPtr {
               return std::make_unique<LeakyReLU>(wire::read_f32(is));
           }}},
         {"dropout",
@@ -97,7 +90,7 @@ registry()
               wire::write_f32(
                   os, static_cast<const Dropout&>(l).drop_probability());
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream&) -> LayerPtr {
               const float p = wire::read_f32(is);
               if (!(p >= 0.0f && p < 1.0f)) {
                   throw SerializeError("bad dropout probability");
@@ -110,7 +103,7 @@ registry()
               wire::write_u64(os, static_cast<std::uint64_t>(c.height()));
               wire::write_u64(os, static_cast<std::uint64_t>(c.width()));
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream&) -> LayerPtr {
               const std::int64_t h = read_dim(is, "crop height");
               const std::int64_t w = read_dim(is, "crop width");
               if (h <= 0 || w <= 0) {
@@ -131,7 +124,7 @@ registry()
               wire::write_u64(os, static_cast<std::uint64_t>(c.padding));
               wire::write_u8(os, c.bias ? 1 : 0);
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream& params) -> LayerPtr {
               Conv2dConfig c;
               c.in_channels = read_dim(is, "conv in_channels");
               c.out_channels = read_dim(is, "conv out_channels");
@@ -139,11 +132,10 @@ registry()
               c.stride = read_dim(is, "conv stride");
               c.padding = read_dim(is, "conv padding");
               c.bias = wire::read_u8(is) != 0;
-              if (c.in_channels <= 0 || c.out_channels <= 0 ||
-                  c.kernel <= 0 || c.stride <= 0 || c.padding < 0) {
-                  throw SerializeError("bad conv2d geometry");
-              }
-              return std::make_unique<Conv2d>(c, init_rng());
+              Tensor weight = read_tensor_checked(params);
+              Tensor bias = c.bias ? read_tensor_checked(params) : Tensor();
+              return std::make_unique<Conv2d>(c, std::move(weight),
+                                              std::move(bias));
           }}},
         {"linear",
          {[](std::ostream& os, const Layer& l) {
@@ -154,14 +146,15 @@ registry()
                   os, static_cast<std::uint64_t>(lin.out_features()));
               wire::write_u8(os, lin.has_bias() ? 1 : 0);
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream& params) -> LayerPtr {
               const std::int64_t in = read_dim(is, "linear in_features");
               const std::int64_t out = read_dim(is, "linear out_features");
-              const bool bias = wire::read_u8(is) != 0;
-              if (in <= 0 || out <= 0) {
-                  throw SerializeError("bad linear geometry");
-              }
-              return std::make_unique<Linear>(in, out, init_rng(), bias);
+              const bool has_bias = wire::read_u8(is) != 0;
+              Tensor weight = read_tensor_checked(params);
+              Tensor bias =
+                  has_bias ? read_tensor_checked(params) : Tensor();
+              return std::make_unique<Linear>(in, out, std::move(weight),
+                                              std::move(bias));
           }}},
         {"maxpool2d",
          {[](std::ostream& os, const Layer& l) {
@@ -171,7 +164,7 @@ registry()
               wire::write_u64(os, static_cast<std::uint64_t>(c.stride));
               wire::write_u64(os, static_cast<std::uint64_t>(c.padding));
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream&) -> LayerPtr {
               PoolConfig c;
               c.kernel = read_dim(is, "pool kernel");
               c.stride = read_dim(is, "pool stride");
@@ -189,7 +182,7 @@ registry()
               wire::write_u64(os, static_cast<std::uint64_t>(c.stride));
               wire::write_u64(os, static_cast<std::uint64_t>(c.padding));
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream&) -> LayerPtr {
               PoolConfig c;
               c.kernel = read_dim(is, "pool kernel");
               c.stride = read_dim(is, "pool stride");
@@ -208,7 +201,7 @@ registry()
               wire::write_f32(os, c.beta);
               wire::write_f32(os, c.k);
           },
-          [](std::istream& is) -> LayerPtr {
+          [](std::istream& is, std::istream&) -> LayerPtr {
               LrnConfig c;
               c.size = read_dim(is, "lrn size");
               c.alpha = wire::read_f32(is);
@@ -223,6 +216,54 @@ registry()
     return reg;
 }
 
+/** The config blob `save_arch` writes for `layer`. */
+std::string
+config_bytes(const Layer& layer)
+{
+    const std::string tag = layer.kind();
+    const auto it = registry().find(tag);
+    SHREDDER_REQUIRE(it != registry().end(), "layer kind '", tag,
+                     "' is not in the arch registry — register it "
+                     "before bundling");
+    std::ostringstream config(std::ios::binary);
+    it->second.write_config(config, layer);
+    return config.str();
+}
+
+/** A layer's parameters (`parameters()` is logically const). */
+std::vector<Parameter*>
+params_of(const Layer& layer)
+{
+    return const_cast<Layer&>(layer).parameters();
+}
+
+/** Fold one 64-bit word into a running hash (multiply-xorshift). */
+std::uint64_t
+mix(std::uint64_t hash, std::uint64_t word)
+{
+    hash = (hash ^ word) * 0x9E3779B97F4A7C15ULL;
+    return hash ^ (hash >> 32);
+}
+
+/** Fold `size` bytes in 8-byte words, then their length. */
+std::uint64_t
+mix_bytes(std::uint64_t hash, const void* data, std::size_t size)
+{
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    std::size_t at = 0;
+    for (; at + sizeof(std::uint64_t) <= size; at += sizeof(std::uint64_t)) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes + at, sizeof(word));
+        hash = mix(hash, word);
+    }
+    if (at < size) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, bytes + at, size - at);
+        hash = mix(hash, word);
+    }
+    return mix(hash, size);
+}
+
 }  // namespace
 
 void
@@ -232,16 +273,8 @@ save_arch(std::ostream& os, const Sequential& net)
     wire::write_u32(os, static_cast<std::uint32_t>(net.size()));
     for (std::int64_t i = 0; i < net.size(); ++i) {
         const Layer& layer = net.layer(i);
-        const std::string tag = layer.kind();
-        const auto it = registry().find(tag);
-        SHREDDER_REQUIRE(it != registry().end(),
-                         "layer kind '", tag,
-                         "' is not in the arch registry — register it "
-                         "before bundling");
-        wire::write_string(os, tag);
-        std::ostringstream config(std::ios::binary);
-        it->second.write_config(config, layer);
-        wire::write_string(os, config.str());
+        wire::write_string(os, layer.kind());
+        wire::write_string(os, config_bytes(layer));
         layer.save_params(os);
     }
     SHREDDER_CHECK(static_cast<bool>(os), "arch write failed");
@@ -265,7 +298,15 @@ load_arch(std::istream& is)
         }
         const std::string config = wire::read_string(is);
         std::istringstream config_stream(config, std::ios::binary);
-        LayerPtr layer = it->second.read_config(config_stream);
+        LayerPtr layer;
+        try {
+            // Constructors check parameters against their config with
+            // user-error checks; here a mismatch is the stream's fault.
+            ScopedFatalThrow guard;
+            layer = it->second.read(config_stream, is);
+        } catch (const FatalError& e) {
+            throw SerializeError("layer '" + tag + "': " + e.what());
+        }
         // The reader must consume the blob exactly: leftovers mean the
         // writer and reader disagree about this kind's config layout.
         config_stream.peek();
@@ -273,19 +314,66 @@ load_arch(std::istream& is)
             throw SerializeError("layer '" + tag +
                                  "' config blob has trailing bytes");
         }
-        for (Parameter* p : layer->parameters()) {
-            Tensor loaded = read_tensor_checked(is);
-            if (!(loaded.shape() == p->value.shape())) {
-                throw SerializeError(
-                    "parameter shape mismatch for '" + tag + "' (" +
-                    loaded.shape().to_string() + " vs " +
-                    p->value.shape().to_string() + ")");
-            }
-            p->value = std::move(loaded);
-        }
         net->add(std::move(layer));
     }
     return net;
+}
+
+std::uint64_t
+arch_hash(const Sequential& net)
+{
+    std::uint64_t hash = mix(0, static_cast<std::uint64_t>(net.size()));
+    for (std::int64_t i = 0; i < net.size(); ++i) {
+        const Layer& layer = net.layer(i);
+        const std::string tag = layer.kind();
+        const std::string config = config_bytes(layer);
+        hash = mix_bytes(hash, tag.data(), tag.size());
+        hash = mix_bytes(hash, config.data(), config.size());
+        for (const Parameter* p : params_of(layer)) {
+            const Shape& shape = p->value.shape();
+            for (int d = 0; d < shape.rank(); ++d) {
+                hash = mix(hash, static_cast<std::uint64_t>(shape[d]));
+            }
+            hash = mix_bytes(hash, p->value.data(),
+                             static_cast<std::size_t>(p->value.size()) *
+                                 sizeof(float));
+        }
+    }
+    return hash;
+}
+
+bool
+same_arch(const Sequential& a, const Sequential& b)
+{
+    if (&a == &b) {
+        return true;
+    }
+    if (a.size() != b.size()) {
+        return false;
+    }
+    for (std::int64_t i = 0; i < a.size(); ++i) {
+        const Layer& la = a.layer(i);
+        const Layer& lb = b.layer(i);
+        if (la.kind() != lb.kind() || config_bytes(la) != config_bytes(lb)) {
+            return false;
+        }
+        const std::vector<Parameter*> pa = params_of(la);
+        const std::vector<Parameter*> pb = params_of(lb);
+        if (pa.size() != pb.size()) {
+            return false;
+        }
+        for (std::size_t j = 0; j < pa.size(); ++j) {
+            const Tensor& va = pa[j]->value;
+            const Tensor& vb = pb[j]->value;
+            if (!(va.shape() == vb.shape()) ||
+                std::memcmp(va.data(), vb.data(),
+                            static_cast<std::size_t>(va.size()) *
+                                sizeof(float)) != 0) {
+                return false;
+            }
+        }
+    }
+    return true;
 }
 
 bool

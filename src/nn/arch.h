@@ -11,7 +11,10 @@
  * length-prefixed static-config blob, and the layer's parameter
  * tensors; `load_arch` rebuilds the exact `Sequential` through a
  * layer-tag registry mapping each kind to a config writer and a
- * factory.
+ * factory. A factory reads the layer's parameter tensors first and
+ * constructs the layer around them, so loading draws no random
+ * numbers and allocates each parameter once, sized by the bytes the
+ * stream actually holds.
  *
  * Byte layout (all little-endian; see docs/DEPLOYMENT.md for the
  * normative spec):
@@ -32,10 +35,16 @@
  * elsewhere), so `load_arch` throws `SerializeError` on any malformed
  * input — unknown tag, truncation, config-length mismatch, parameter
  * shape mismatch — and never terminates the process.
+ *
+ * The codec also defines "the same network" for the weight registry
+ * (src/deploy/weight_registry.h): equal `save_arch` bytes.
+ * `arch_hash` and `same_arch` decide that reading the parameters in
+ * place; only each layer's few config bytes are written out.
  */
 #ifndef SHREDDER_NN_ARCH_H
 #define SHREDDER_NN_ARCH_H
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -60,6 +69,21 @@ void save_arch(std::ostream& os, const Sequential& net);
  *         tag, truncation, config/parameter mismatch).
  */
 std::unique_ptr<Sequential> load_arch(std::istream& is);
+
+/**
+ * Hash of what `save_arch` writes for `net` — layer kinds, config
+ * bytes, parameter shapes and raw bits — computed in place, a word at
+ * a time. Equal content hashes equal; the hash only prunes candidates
+ * and `same_arch` decides.
+ */
+std::uint64_t arch_hash(const Sequential& net);
+
+/**
+ * True when `save_arch` would write the same bytes for `a` and `b`,
+ * decided reading the parameters in place. Parameters compare by
+ * bit pattern: −0.0 differs from +0.0 and equal NaN payloads match.
+ */
+bool same_arch(const Sequential& a, const Sequential& b);
 
 /** True when the registry can (de)serialize layer kind `kind`. */
 bool arch_registry_knows(const std::string& kind);

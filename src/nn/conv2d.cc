@@ -17,19 +17,69 @@
 namespace shredder {
 namespace nn {
 
-Conv2d::Conv2d(const Conv2dConfig& config, Rng& rng) : config_(config)
+namespace {
+
+void
+require_valid(const Conv2dConfig& config)
 {
     SHREDDER_REQUIRE(config.in_channels > 0 && config.out_channels > 0 &&
                          config.kernel > 0 && config.stride > 0 &&
                          config.padding >= 0,
                      "bad Conv2d config");
-    const std::int64_t fan_in =
-        config.in_channels * config.kernel * config.kernel;
+}
+
+/**
+ * Cin·K·K, the filter-bank width — or -1 when the product overflows
+ * (a config read from a file is untrusted).
+ */
+std::int64_t
+filter_width(const Conv2dConfig& config)
+{
+    std::int64_t width = 0;
+    const bool overflow =
+        __builtin_mul_overflow(config.kernel, config.kernel, &width) ||
+        __builtin_mul_overflow(width, config.in_channels, &width);
+    return overflow ? -1 : width;
+}
+
+/** A Kaiming-He initialized [Cout, Cin·K·K] filter bank. */
+Tensor
+kaiming_filters(const Conv2dConfig& config, Rng& rng)
+{
+    require_valid(config);
+    const std::int64_t fan_in = filter_width(config);
     Tensor w(Shape({config.out_channels, fan_in}));
     kaiming_normal(w, fan_in, rng);
-    weight_ = Parameter("conv2d.weight", std::move(w));
+    return w;
+}
+
+}  // namespace
+
+Conv2d::Conv2d(const Conv2dConfig& config, Rng& rng)
+    : Conv2d(config, kaiming_filters(config, rng),
+             config.bias ? Tensor(Shape({config.out_channels})) : Tensor())
+{
+}
+
+Conv2d::Conv2d(const Conv2dConfig& config, Tensor weight, Tensor bias)
+    : config_(config)
+{
+    require_valid(config);
+    const std::int64_t width = filter_width(config);
+    SHREDDER_REQUIRE(
+        width > 0 && weight.shape() == Shape({config.out_channels, width}),
+        "Conv2d weight ", weight.shape().to_string(), " does not match ",
+        config.out_channels, " filters of ", config.in_channels, "x",
+        config.kernel, "x", config.kernel);
+    SHREDDER_REQUIRE(config.bias
+                         ? bias.shape() == Shape({config.out_channels})
+                         : bias.empty(),
+                     "Conv2d bias ", bias.shape().to_string(),
+                     " does not match config bias=", config.bias, " for ",
+                     config.out_channels, " filters");
+    weight_ = Parameter("conv2d.weight", std::move(weight));
     if (config.bias) {
-        bias_ = Parameter("conv2d.bias", Tensor(Shape({config.out_channels})));
+        bias_ = Parameter("conv2d.bias", std::move(bias));
     }
 }
 

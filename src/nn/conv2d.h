@@ -45,6 +45,17 @@ class Conv2d final : public Layer
      */
     Conv2d(const Conv2dConfig& config, Rng& rng);
 
+    /**
+     * Construct around existing parameters — how a loaded network is
+     * rebuilt, drawing nothing. Shapes are checked against `config`
+     * (user error on mismatch).
+     *
+     * @param config  Layer geometry.
+     * @param weight  [Cout, Cin·K·K] filter bank.
+     * @param bias    [Cout], or empty when `config.bias` is false.
+     */
+    Conv2d(const Conv2dConfig& config, Tensor weight, Tensor bias = Tensor());
+
     Tensor forward(const Tensor& x, ExecutionContext& ctx,
                    Mode mode) const override;
     Tensor backward(const Tensor& grad_out, ExecutionContext& ctx) override;

@@ -11,18 +11,46 @@
 namespace shredder {
 namespace nn {
 
-Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
-               bool with_bias)
-    : in_features_(in_features), out_features_(out_features),
-      with_bias_(with_bias)
+namespace {
+
+/** A Kaiming-He initialized [out, in] weight matrix. */
+Tensor
+kaiming_weight(std::int64_t in_features, std::int64_t out_features,
+               Rng& rng)
 {
     SHREDDER_REQUIRE(in_features > 0 && out_features > 0,
                      "bad Linear dims ", in_features, "x", out_features);
     Tensor w(Shape({out_features, in_features}));
     kaiming_normal(w, in_features, rng);
-    weight_ = Parameter("linear.weight", std::move(w));
+    return w;
+}
+
+}  // namespace
+
+Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
+               bool with_bias)
+    : Linear(in_features, out_features,
+             kaiming_weight(in_features, out_features, rng),
+             with_bias ? Tensor(Shape({out_features})) : Tensor())
+{
+}
+
+Linear::Linear(std::int64_t in_features, std::int64_t out_features,
+               Tensor weight, Tensor bias)
+    : in_features_(in_features), out_features_(out_features),
+      with_bias_(!bias.empty())
+{
+    SHREDDER_REQUIRE(in_features > 0 && out_features > 0,
+                     "bad Linear dims ", in_features, "x", out_features);
+    SHREDDER_REQUIRE(weight.shape() == Shape({out_features, in_features}),
+                     "Linear weight ", weight.shape().to_string(),
+                     " does not match ", out_features, "x", in_features);
+    SHREDDER_REQUIRE(!with_bias_ || bias.shape() == Shape({out_features}),
+                     "Linear bias ", bias.shape().to_string(),
+                     " does not match ", out_features, " outputs");
+    weight_ = Parameter("linear.weight", std::move(weight));
     if (with_bias_) {
-        bias_ = Parameter("linear.bias", Tensor(Shape({out_features})));
+        bias_ = Parameter("linear.bias", std::move(bias));
     }
 }
 

@@ -34,6 +34,19 @@ class Linear final : public Layer
     Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
            bool with_bias = true);
 
+    /**
+     * Construct around existing parameters — how a loaded network is
+     * rebuilt, drawing nothing. Shapes are checked against the
+     * feature counts (user error on mismatch).
+     *
+     * @param in_features   Input width.
+     * @param out_features  Output width.
+     * @param weight        [out_features, in_features].
+     * @param bias          [out_features], or empty for no bias.
+     */
+    Linear(std::int64_t in_features, std::int64_t out_features,
+           Tensor weight, Tensor bias = Tensor());
+
     Tensor forward(const Tensor& x, ExecutionContext& ctx,
                    Mode mode) const override;
     Tensor backward(const Tensor& grad_out, ExecutionContext& ctx) override;

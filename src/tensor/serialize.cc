@@ -5,6 +5,7 @@
  */
 #include "src/tensor/serialize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <istream>
@@ -41,6 +42,67 @@ read_pod_checked(std::istream& is, const char* what)
                              what);
     }
     return value;
+}
+
+/**
+ * Bytes `is` can still deliver: what its buffer holds once that covers
+ * `want` (a frame view or a string buffers all of its input), else the
+ * distance to the end of a seekable stream; -1 when the stream cannot
+ * tell (a pipe).
+ */
+std::streamsize
+bytes_left(std::istream& is, std::streamsize want)
+{
+    std::streambuf& in = *is.rdbuf();
+    const std::streamsize buffered = in.in_avail();
+    if (buffered >= want) {
+        return buffered;
+    }
+    const std::streampos here = in.pubseekoff(0, std::ios::cur, std::ios::in);
+    if (here == std::streampos(-1)) {
+        return -1;
+    }
+    const std::streampos end = in.pubseekoff(0, std::ios::end, std::ios::in);
+    in.pubseekpos(here, std::ios::in);
+    return end == std::streampos(-1) ? -1 : end - here;
+}
+
+/** Growth step of a payload read from a stream of unknown length. */
+constexpr std::size_t kUnknownLengthChunk = 64 * 1024;
+
+/**
+ * Read `count` payload elements into `out`, allocating only for bytes
+ * the input has shown it holds: a header's element count is a claim.
+ * When the stream can tell what is left, a short payload fails before
+ * any allocation and a whole one is allocated once. When it cannot,
+ * `out` grows chunk by chunk as bytes arrive, never past twice what
+ * has been read.
+ */
+template <typename T>
+void
+read_payload(std::istream& is, std::size_t count, std::vector<T>& out)
+{
+    const auto bytes = static_cast<std::streamsize>(count * sizeof(T));
+    const std::streamsize left = bytes_left(is, bytes);
+    if (left >= 0 && left < bytes) {
+        throw SerializeError("truncated tensor payload");
+    }
+    std::size_t step = left >= 0 ? count : kUnknownLengthChunk / sizeof(T);
+    try {
+        for (std::size_t got = 0; got < count; got += step) {
+            step = std::min(count - got, std::max(step, got));
+            out.resize(got + step);
+            is.read(reinterpret_cast<char*>(out.data() + got),
+                    static_cast<std::streamsize>(step * sizeof(T)));
+            if (!is) {
+                throw SerializeError("truncated tensor payload");
+            }
+        }
+    } catch (const std::bad_alloc&) {
+        // A payload the input really holds can still be too large for
+        // this machine; at a trust boundary that stays a typed error.
+        throw SerializeError("tensor payload too large to allocate");
+    }
 }
 
 }  // namespace
@@ -229,19 +291,7 @@ read_tensor_checked(std::istream& is)
     wire::expect_magic(is, kMagic, "tensor");
     const Shape shape = wire::read_shape(is);
     std::vector<float> data;
-    try {
-        data.resize(static_cast<std::size_t>(shape.numel()));
-    } catch (const std::bad_alloc&) {
-        // An in-bounds but unsatisfiable allocation is still the
-        // stream's fault at a trust boundary — keep the typed
-        // contract rather than leaking bad_alloc past the loader.
-        throw SerializeError("tensor payload too large to allocate");
-    }
-    is.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(shape.numel() * sizeof(float)));
-    if (!is) {
-        throw SerializeError("truncated tensor payload");
-    }
+    read_payload(is, static_cast<std::size_t>(shape.numel()), data);
     return Tensor(shape, std::move(data));
 }
 
@@ -343,17 +393,8 @@ read_tensor_wire_checked(std::istream& is)
         q.dtype = WireDtype::kF32;
         q.shape = wire::read_shape_dims(is, word);
     }
-    const std::int64_t payload = q.size() * dtype_bytes(q.dtype);
-    try {
-        q.data.resize(static_cast<std::size_t>(payload));
-    } catch (const std::bad_alloc&) {
-        throw SerializeError("tensor payload too large to allocate");
-    }
-    is.read(reinterpret_cast<char*>(q.data.data()),
-            static_cast<std::streamsize>(payload));
-    if (!is) {
-        throw SerializeError("truncated tensor payload");
-    }
+    read_payload(is, static_cast<std::size_t>(q.size() * dtype_bytes(q.dtype)),
+                 q.data);
     return q;
 }
 

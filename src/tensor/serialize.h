@@ -47,6 +47,13 @@
  *    *load*, never the process. The bundle loader converts these into
  *    typed `runtime::ServingError`s.
  *
+ * Both read a payload only into memory the input has shown it holds:
+ * a header's element count is a claim. A frame view or a string knows
+ * its remaining bytes and a file its size, so a short payload fails
+ * before anything is allocated and a whole one is allocated once; a
+ * stream that cannot tell (a pipe) is read in chunks that grow with
+ * the bytes received.
+ *
  * The `wire` namespace exposes the checked POD/string/shape helpers
  * the higher-level formats (arch codec, noise distribution, bundle)
  * build on, so every on-disk structure shares one little-endian

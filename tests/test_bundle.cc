@@ -34,6 +34,7 @@
 #include "src/split/split_model.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/serialize.h"
+#include "tests/alloc_probe.h"
 
 namespace shredder {
 namespace {
@@ -227,6 +228,47 @@ TEST(ArchCodec, MalformedStreamsThrowTyped)
         std::istringstream is(mutated, std::ios::binary);
         EXPECT_THROW(nn::load_arch(is), SerializeError);
     }
+
+    // Layers are built around the tensors the stream holds, so none of
+    // these may allocate more than the stream's own size.
+    const auto expect_typed_and_bounded = [](const std::string& stream,
+                                             const char* what) {
+        std::istringstream is(stream, std::ios::binary);
+        const test::LargestAllocation probe;
+        EXPECT_THROW(nn::load_arch(is), SerializeError) << what;
+        EXPECT_LE(probe.bytes(), stream.size()) << what;
+    };
+    // The first conv's config: after the tag, the blob length (u32),
+    // then in_channels and out_channels (u64 each).
+    const std::size_t conv = bytes.find("conv2d") + 6;
+    const std::size_t in_channels = conv + 4;
+    const std::size_t out_channels = in_channels + 8;
+    const auto with_channels = [&bytes, in_channels, out_channels](
+                                   std::uint64_t in, std::uint64_t out) {
+        std::ostringstream dims(std::ios::binary);
+        wire::write_u64(dims, in);
+        wire::write_u64(dims, out);
+        std::string mutated = bytes;
+        mutated.replace(in_channels, 16, dims.str());
+        return mutated;
+    };
+    ASSERT_EQ(with_channels(1, 6), bytes) << "LeNet's conv1 is 1->6";
+    expect_typed_and_bounded(with_channels(3, 6),
+                             "conv channels disagree with the weight");
+    expect_typed_and_bounded(with_channels(2048, 2048),
+                             "conv config claims 2048->2048 channels");
+
+    // An SHRT header is magic, rank and a u64 per dim: 20 bytes for
+    // the rank-2 conv weight, 16 for the rank-1 linear bias.
+    const std::size_t conv_weight = bytes.find("SHRT", conv);
+    expect_typed_and_bounded(bytes.substr(0, conv_weight + 20 + 100),
+                             "truncated inside the first conv weight");
+    const std::size_t linear_weight =
+        bytes.find("SHRT", bytes.find("linear"));
+    const std::size_t linear_bias = bytes.find("SHRT", linear_weight + 4);
+    ASSERT_NE(linear_bias, std::string::npos);
+    expect_typed_and_bounded(bytes.substr(0, linear_bias + 16 + 8),
+                             "truncated inside the first linear bias");
 }
 
 TEST(ArchCodec, RegistryKnowsEveryZooKind)
@@ -956,6 +998,29 @@ TEST(BundleTrustBoundary, HugeDeclaredTensorIsTypedNotOom)
     bytes.replace(pos + 4, patch.str().size(), patch.str());
     spew(path, bytes);
     expect_load_error(path, ServingErrorCode::kBadBundle);
+    std::remove(path.c_str());
+}
+
+TEST(BundleTrustBoundary, LyingTensorHeaderAllocatesNoMoreThanTheFile)
+{
+    // 32768 x 32767 floats (4 GiB) passes the element-count cap; the
+    // loader must see that the file cannot hold them before it
+    // allocates anything that large.
+    Fixture f;
+    const std::string path =
+        f.save(deploy::PolicyKind::kReplay, 1, "lying_tensor.shb");
+    std::string bytes = slurp(path);
+    const auto pos = bytes.find("SHRT");
+    ASSERT_NE(pos, std::string::npos);
+    std::ostringstream patch(std::ios::binary);
+    wire::write_u32(patch, 2);  // rank
+    wire::write_u64(patch, 32768);
+    wire::write_u64(patch, 32767);
+    bytes.replace(pos + 4, patch.str().size(), patch.str());
+    spew(path, bytes);
+    const test::LargestAllocation probe;
+    expect_load_error(path, ServingErrorCode::kBadBundle);
+    EXPECT_LE(probe.bytes(), bytes.size());
     std::remove(path.c_str());
 }
 

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +24,10 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <time.h>
+#include <unistd.h>
 
 #include "src/core/noise_collection.h"
 #include "src/core/noise_distribution.h"
@@ -37,6 +41,8 @@
 #include "src/runtime/serving_engine.h"
 #include "src/split/split_model.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/serialize.h"
+#include "tests/alloc_probe.h"
 
 namespace shredder {
 namespace {
@@ -706,6 +712,43 @@ TEST(NetServer, LyingPayloadIsRejectedTyped)
     expect_still_serving(fx, 8);
 }
 
+TEST(NetServer, LyingTensorHeaderAllocatesNoMoreThanTheFrame)
+{
+    // A 41-byte payload whose tensor header declares 32768 x 32767 fp32
+    // (4 GiB, under the element-count cap) and brings no data. It is
+    // decoded on the loop thread, so the decoder must see that the
+    // frame cannot hold the payload before it allocates for it.
+    std::ostringstream payload(std::ios::binary);
+    wire::write_u64(payload, 7);
+    wire::write_string(payload, "lenet");
+    wire::write_u32(payload, 0x54524853);  // 'SHRT'
+    wire::write_u32(payload, 2);           // rank
+    wire::write_u64(payload, 32768);
+    wire::write_u64(payload, 32767);
+    const std::string bytes = payload.str();
+    ASSERT_EQ(bytes.size(), 41u);
+    {
+        const test::LargestAllocation probe;
+        try {
+            net::decode_request_payload(bytes);
+            ADD_FAILURE() << "expected kProtocol";
+        } catch (const ServingError& e) {
+            EXPECT_EQ(e.code(), ServingErrorCode::kProtocol) << e.what();
+        }
+        // Nothing is allocated for the payload; the error message is
+        // the largest thing built.
+        EXPECT_LT(probe.bytes(), 1024u);
+    }
+
+    Fixture fx;
+    std::ostringstream frame(std::ios::binary);
+    wire::write_u32(frame, net::kRequestMagic);
+    wire::write_u32(frame, 1);
+    wire::write_u32(frame, static_cast<std::uint32_t>(bytes.size()));
+    expect_protocol_error_response(fx, frame.str() + bytes);
+    expect_still_serving(fx, 8);
+}
+
 TEST(NetServer, TruncationSweepNeverKillsServer)
 {
     Fixture fx;
@@ -766,6 +809,58 @@ TEST(NetServer, StopAnswersInFlightAndRefusesNew)
                  ServingError);
     // stop() is idempotent.
     fx.server->stop();
+}
+
+/** CPU seconds this process has used, over all its threads. */
+double
+process_cpu_seconds()
+{
+    timespec now{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+    return static_cast<double>(now.tv_sec) +
+           1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+TEST(NetServer, OutOfDescriptorsPausesAcceptInsteadOfSpinning)
+{
+    Fixture fx;
+    // The client's descriptor is made while there are some to spare;
+    // it connects once the server can no longer accept.
+    net::Socket socket(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_TRUE(socket.valid());
+    // With the limit at the lowest free descriptor number, every number
+    // below it is taken, so no new descriptor can be made.
+    const int lowest_free = ::dup(socket.fd());
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit tight = saved;
+    tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(fx.server->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    // The kernel completes the handshake into the accept queue.
+    const int connected = ::connect(
+        socket.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+    const double cpu_before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double cpu_spent = process_cpu_seconds() - cpu_before;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_EQ(connected, 0);
+    EXPECT_EQ(fx.server->stats().connections_accepted, 0);
+    EXPECT_LT(cpu_spent, 0.050)
+        << "the loop spins on a listener it cannot accept from";
+
+    // Descriptors are back: the pending client is accepted and answered.
+    const Tensor activation = fx.sample_activation();
+    const std::string frame = request_frame(activation, 5);
+    socket.send_all(frame.data(), frame.size());
+    ASSERT_TRUE(readable_within(socket, 5000));
+    expect_answer(fx, socket, activation, 5);
 }
 
 TEST(NetClient, ConnectionRefusedIsTypedNetwork)

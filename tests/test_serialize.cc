@@ -1,5 +1,8 @@
 /** @file Unit tests for tensor serialization. */
+#include <algorithm>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +119,54 @@ TEST(SerializeChecked, ImplausibleElementCountThrowsTyped)
           craft({1ull << 31, 1ull << 31, 1ull << 31, 1ull << 31}),
           craft({1ull << 40})}) {
         std::istringstream is(bytes, std::ios::binary);
+        EXPECT_THROW(read_tensor_checked(is), SerializeError);
+    }
+}
+
+/**
+ * A stream over `bytes` that, like a pipe, can neither seek nor tell
+ * its length, and hands out at most 4 KiB per refill.
+ */
+class PipeBuffer : public std::streambuf
+{
+  public:
+    explicit PipeBuffer(std::string bytes) : bytes_(std::move(bytes)) {}
+
+  protected:
+    int_type underflow() override
+    {
+        if (at_ == bytes_.size()) {
+            return traits_type::eof();
+        }
+        const std::size_t n = std::min<std::size_t>(4096, bytes_.size() - at_);
+        char* begin = &bytes_[at_];
+        setg(begin, begin, begin + n);
+        at_ += n;
+        return traits_type::to_int_type(*begin);
+    }
+
+  private:
+    std::string bytes_;
+    std::size_t at_ = 0;
+};
+
+TEST(SerializeChecked, StreamOfUnknownLengthIsReadAsItArrives)
+{
+    // 200 KB of payload: the reader grows the tensor over several
+    // steps, since the stream cannot vouch for the bytes up front.
+    Rng rng(8);
+    const Tensor t = Tensor::normal(Shape({50000}), rng);
+    const std::string bytes = tensor_to_bytes(t);
+    {
+        PipeBuffer pipe(bytes);
+        std::istream is(&pipe);
+        const Tensor u = read_tensor_checked(is);
+        EXPECT_EQ(u.shape(), t.shape());
+        EXPECT_DOUBLE_EQ(ops::max_abs_diff(t, u), 0.0);
+    }
+    {
+        PipeBuffer pipe(bytes.substr(0, 70000));
+        std::istream is(&pipe);
         EXPECT_THROW(read_tensor_checked(is), SerializeError);
     }
 }

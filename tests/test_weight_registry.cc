@@ -8,6 +8,7 @@
  */
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "src/deploy/bundle.h"
 #include "src/deploy/weight_registry.h"
 #include "src/models/zoo.h"
+#include "src/nn/conv2d.h"
+#include "src/nn/pool.h"
 #include "src/runtime/serving_engine.h"
 #include "src/split/split_model.h"
 #include "src/tensor/ops.h"
@@ -133,6 +136,69 @@ TEST(WeightRegistry, InternAliasesIdenticalContentOnly)
     // Interning the canonical itself is a no-cost alias.
     EXPECT_EQ(registry.intern(canon_a).get(), a.get());
     EXPECT_EQ(registry.stats().weights_dedupe_bytes, 2 * param_bytes);
+}
+
+/** conv → maxpool with seeded weights; the knobs touch no parameter. */
+std::shared_ptr<nn::Sequential>
+conv_pool(std::int64_t conv_padding, std::int64_t pool_stride)
+{
+    Rng rng(9);
+    auto net = std::make_shared<nn::Sequential>();
+    net->emplace<nn::Conv2d>(
+        nn::Conv2dConfig{1, 2, 3, 1, conv_padding, true}, rng);
+    net->emplace<nn::MaxPool2d>(nn::PoolConfig{2, pool_stride, 0});
+    return net;
+}
+
+/** Overwrite the first weight of `net`'s first layer with `value`. */
+void
+set_first_weight(nn::Sequential& net, float value)
+{
+    net.layer(0).parameters().front()->value[0] = value;
+}
+
+TEST(WeightRegistry, SameParametersUnderAnotherConfigNeverAlias)
+{
+    deploy::WeightRegistry registry;
+    const auto base = conv_pool(0, 2);
+    const auto other_stride = conv_pool(0, 1);
+    const auto other_padding = conv_pool(1, 2);
+    ASSERT_EQ(registry.intern(base).get(), base.get());
+    EXPECT_EQ(registry.intern(other_stride).get(), other_stride.get())
+        << "a MaxPool2d stride is part of the content";
+    EXPECT_EQ(registry.intern(other_padding).get(), other_padding.get())
+        << "a Conv2d padding is part of the content";
+    EXPECT_EQ(registry.stats().unique_weight_sets, 3);
+    EXPECT_EQ(registry.stats().weights_dedupe_bytes, 0);
+    // The control: the same config and weights do alias.
+    EXPECT_EQ(registry.intern(conv_pool(0, 2)).get(), base.get());
+}
+
+TEST(WeightRegistry, SignedZerosNeverAlias)
+{
+    deploy::WeightRegistry registry;
+    const auto positive = conv_pool(0, 2);
+    const auto negative = conv_pool(0, 2);
+    set_first_weight(*positive, 0.0f);
+    set_first_weight(*negative, -0.0f);
+    ASSERT_EQ(registry.intern(positive).get(), positive.get());
+    EXPECT_EQ(registry.intern(negative).get(), negative.get())
+        << "-0.0 and +0.0 are different bytes";
+    EXPECT_EQ(registry.stats().unique_weight_sets, 2);
+}
+
+TEST(WeightRegistry, IdenticalNanPayloadsAlias)
+{
+    deploy::WeightRegistry registry;
+    const auto a = conv_pool(0, 2);
+    const auto b = conv_pool(0, 2);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    set_first_weight(*a, nan);
+    set_first_weight(*b, nan);
+    ASSERT_EQ(registry.intern(a).get(), a.get());
+    EXPECT_EQ(registry.intern(b).get(), a.get())
+        << "equal NaN bits are equal bytes, though NaN != NaN";
+    EXPECT_EQ(registry.stats().unique_weight_sets, 1);
 }
 
 // ---------------------------------------------------------------------
