@@ -212,12 +212,13 @@ measure_server()
         activations.push_back(Tensor::normal(per_sample, rng));
     }
 
+    const runtime::ReplayPolicy policy(coll, 0xC0FFEE);
     std::vector<ServerPoint> points;
     for (const std::int64_t max_batch : {1, 8, 32}) {
         runtime::InferenceServerConfig cfg;
         cfg.max_batch = max_batch;
         cfg.batch_timeout_ms = 2.0;
-        runtime::InferenceServer server(model, &coll, cfg);
+        runtime::InferenceServer server(model, policy, cfg);
         std::vector<std::future<Tensor>> futures;
         futures.reserve(activations.size());
         for (const Tensor& a : activations) {
@@ -346,87 +347,6 @@ main(int argc, char** argv)
     std::printf("LeNet batch-1 inference: %.3f ms\n", lenet_ms);
     json.key("lenet_infer_ms");
     json.value(lenet_ms);
-
-    // --- Fused noise-add GEMM (the fp32 serving fast path) ---
-    //
-    // gemm_rows_fused folds the policy's additive noise into the
-    // A-panel packing pass; the baseline is what the general serving
-    // path does — materialize activation+noise into a batch buffer,
-    // then GEMM + bias. Same FLOPs, one fewer memory pass.
-    {
-        const std::int64_t fm = 8;  // serving batch
-        const std::int64_t fn = bench::fast_mode() ? 128 : 256;
-        const std::int64_t fk = bench::fast_mode() ? 512 : 2048;
-        Rng frng(23);
-        std::vector<Tensor> acts;
-        std::vector<Tensor> noise;
-        std::vector<const float*> a_rows;
-        std::vector<const float*> a_noise;
-        for (std::int64_t i = 0; i < fm; ++i) {
-            acts.push_back(Tensor::normal(Shape({fk}), frng));
-            noise.push_back(Tensor::normal(Shape({fk}), frng));
-        }
-        for (std::int64_t i = 0; i < fm; ++i) {
-            a_rows.push_back(acts[static_cast<std::size_t>(i)].data());
-            a_noise.push_back(noise[static_cast<std::size_t>(i)].data());
-        }
-        Tensor w = Tensor::normal(Shape({fn, fk}), frng);
-        Tensor bias = Tensor::normal(Shape({fn}), frng);
-        Tensor c(Shape({fm, fn}));
-        const double flops = 2.0 * static_cast<double>(fm) *
-                             static_cast<double>(fn) *
-                             static_cast<double>(fk);
-        const double fused_sec = bench::time_loop(
-            [&] {
-                gemm_rows_fused(fm, fn, fk, a_rows.data(), a_noise.data(),
-                                w.data(), bias.data(), c.data());
-            },
-            bench::measure_seconds());
-        Tensor fused_buf(Shape({fm, fk}));
-        const double unfused_sec = bench::time_loop(
-            [&] {
-                float* fb = fused_buf.data();
-                for (std::int64_t i = 0; i < fm; ++i) {
-                    const float* ar = a_rows[static_cast<std::size_t>(i)];
-                    const float* nr = a_noise[static_cast<std::size_t>(i)];
-                    for (std::int64_t p = 0; p < fk; ++p) {
-                        fb[i * fk + p] = ar[p] + nr[p];
-                    }
-                }
-                gemm(false, true, fm, fn, fk, 1.0f, fused_buf.data(),
-                     w.data(), 0.0f, c.data());
-                float* cp = c.data();
-                const float* bp = bias.data();
-                for (std::int64_t i = 0; i < fm; ++i) {
-                    for (std::int64_t j = 0; j < fn; ++j) {
-                        cp[i * fn + j] += bp[j];
-                    }
-                }
-            },
-            bench::measure_seconds());
-        const double fused_gf = gflops(flops, fused_sec);
-        const double unfused_gf = gflops(flops, unfused_sec);
-        std::printf("\nFused noise-add GEMM %lldx%lldx%lld: fused %.2f "
-                    "GF/s, apply-then-GEMM %.2f GF/s (%.2fx)\n",
-                    static_cast<long long>(fm), static_cast<long long>(fn),
-                    static_cast<long long>(fk), fused_gf, unfused_gf,
-                    fused_gf / unfused_gf);
-        json.key("gemm_fused_noise");
-        json.begin_object();
-        json.key("m");
-        json.value(fm);
-        json.key("n");
-        json.value(fn);
-        json.key("k");
-        json.value(fk);
-        json.key("fused_gflops");
-        json.value(fused_gf);
-        json.key("unfused_gflops");
-        json.value(unfused_gf);
-        json.key("speedup");
-        json.value(fused_gf / unfused_gf);
-        json.end_object();
-    }
 
     // --- Serving throughput ---
     std::printf("\nInferenceServer at the LeNet last-conv cut:\n");

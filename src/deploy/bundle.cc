@@ -5,6 +5,7 @@
  */
 #include "src/deploy/bundle.h"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -529,6 +530,15 @@ parse_manifest(const std::string& path)
             // Values must parse *completely*: "max_batch=4x2" is a
             // typo, not a 4.
             std::size_t consumed = 0;
+            // std::stod accepts "nan" and "inf", and NaN passes every
+            // range check below, so non-finite numbers fail here.
+            const auto parse_finite = [&]() {
+                const double number = std::stod(value, &consumed);
+                if (!std::isfinite(number)) {
+                    fail(line_no, key + " must be finite");
+                }
+                return number;
+            };
             try {
                 if (key == "max_batch") {
                     entry.config.max_batch = std::stoll(value, &consumed);
@@ -536,8 +546,7 @@ parse_manifest(const std::string& path)
                         fail(line_no, "max_batch must be positive");
                     }
                 } else if (key == "batch_timeout_ms") {
-                    entry.config.batch_timeout_ms =
-                        std::stod(value, &consumed);
+                    entry.config.batch_timeout_ms = parse_finite();
                     if (entry.config.batch_timeout_ms < 0.0) {
                         fail(line_no, "batch_timeout_ms must be >= 0");
                     }
@@ -548,9 +557,6 @@ parse_manifest(const std::string& path)
                         fail(line_no,
                              "max_concurrent_batches must be >= 0");
                     }
-                } else if (key == "context_seed") {
-                    entry.config.context_seed =
-                        std::stoull(value, &consumed);
                 } else if (key == "adaptive_batching") {
                     if (value == "true" || value == "1") {
                         entry.config.adaptive_batching = true;
@@ -562,12 +568,12 @@ parse_manifest(const std::string& path)
                     }
                     consumed = value.size();
                 } else if (key == "slo_ms") {
-                    entry.config.slo_ms = std::stod(value, &consumed);
+                    entry.config.slo_ms = parse_finite();
                     if (entry.config.slo_ms < 0.0) {
                         fail(line_no, "slo_ms must be >= 0");
                     }
                 } else if (key == "ewma_alpha") {
-                    entry.config.ewma_alpha = std::stod(value, &consumed);
+                    entry.config.ewma_alpha = parse_finite();
                     if (entry.config.ewma_alpha <= 0.0 ||
                         entry.config.ewma_alpha > 1.0) {
                         fail(line_no, "ewma_alpha must be in (0, 1]");
@@ -596,14 +602,12 @@ parse_manifest(const std::string& path)
                     entry.config.shard = value;
                     consumed = value.size();
                 } else if (key == "rate_limit_qps") {
-                    entry.config.rate_limit_qps =
-                        std::stod(value, &consumed);
+                    entry.config.rate_limit_qps = parse_finite();
                     if (entry.config.rate_limit_qps < 0.0) {
                         fail(line_no, "rate_limit_qps must be >= 0");
                     }
                 } else if (key == "rate_limit_burst") {
-                    entry.config.rate_limit_burst =
-                        std::stod(value, &consumed);
+                    entry.config.rate_limit_burst = parse_finite();
                     if (entry.config.rate_limit_burst < 0.0) {
                         fail(line_no, "rate_limit_burst must be >= 0");
                     }

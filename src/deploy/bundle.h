@@ -266,11 +266,11 @@ struct ManifestEntry
  *   endpoint <name> <bundle-path> [key=value ...]
  *
  * with keys `max_batch`, `batch_timeout_ms`, `max_concurrent_batches`,
- * `context_seed`, `adaptive_batching`, `slo_ms`, `ewma_alpha`,
- * `wire_dtype` (`fp32|int8|int16`), `int8_compute` (`true|false|1|0`),
- * `shard` (shard name or bare index), `rate_limit_qps`,
- * `rate_limit_burst` and `max_in_flight`. Relative bundle paths
- * resolve against the manifest file's directory.
+ * `adaptive_batching`, `slo_ms`, `ewma_alpha`, `wire_dtype`
+ * (`fp32|int8|int16`), `int8_compute` (`true|false|1|0`), `shard`
+ * (shard name or bare index), `rate_limit_qps`, `rate_limit_burst`
+ * and `max_in_flight`. Real-valued keys must be finite. Relative
+ * bundle paths resolve against the manifest file's directory.
  * `wire_dtype`/`int8_compute` left unset defer to the bundle's own
  * transport hints; the shard key is validated at registration.
  *

@@ -161,12 +161,6 @@ render_metrics(const runtime::ServingEngine& engine,
                     [](const ServerStats& s) {
                         return s.int8_direct_batches;
                     });
-    endpoint_family(os, endpoints, "shredder_fp32_fused_batches_total",
-                    "counter",
-                    "Batches served by the fused-noise fp32 GEMM path.",
-                    [](const ServerStats& s) {
-                        return s.fp32_fused_batches;
-                    });
     endpoint_family(os, endpoints, "shredder_rate_limited_total",
                     "counter",
                     "Submits rejected by the token-bucket rate limit.",

@@ -32,40 +32,6 @@ batched_shape(const Shape& sample, std::int64_t n)
     }
 }
 
-/** Build the shim's policy from the legacy (collection, flag) pair. */
-std::unique_ptr<const NoisePolicy>
-shim_policy(const core::NoiseCollection* collection,
-            const InferenceServerConfig& config)
-{
-    if (!config.apply_noise) {
-        return std::make_unique<NoNoisePolicy>();
-    }
-    SHREDDER_REQUIRE(collection != nullptr && !collection->empty(),
-                     "apply_noise requires a non-empty noise "
-                     "collection");
-    // Same seed derivation as the historical in-server draw
-    // (`Rng(noise_seed(config.seed, id))`), so the shim is bit-exact
-    // with the pre-policy server.
-    return std::make_unique<ReplayPolicy>(*collection, config.seed);
-}
-
-/**
- * The legacy constructor derived the server's shape contract from the
- * collection even with `apply_noise` off (a no-noise server could
- * still validate request shapes against it). `NoNoisePolicy` carries
- * no shape, so preserve that behavior through the config pin.
- */
-InferenceServerConfig
-shim_config(const core::NoiseCollection* collection,
-            InferenceServerConfig config)
-{
-    if (!config.apply_noise && config.sample_shape.rank() == 0 &&
-        collection != nullptr && !collection->empty()) {
-        config.sample_shape = collection->noise_shape();
-    }
-    return config;
-}
-
 }  // namespace
 
 PromisedCompletion
@@ -123,41 +89,16 @@ ServerStats::queue_wait_percentile_ms(double p) const
     return upper_us * 1e-3;
 }
 
-std::uint64_t
-InferenceServer::noise_seed(std::uint64_t root_seed,
-                            std::uint64_t request_id)
-{
-    return runtime::noise_seed(root_seed, request_id);
-}
-
 InferenceServer::InferenceServer(split::SplitModel& model,
                                  const NoisePolicy& policy,
                                  const InferenceServerConfig& config)
-    : InferenceServer(model, &policy, nullptr, config)
-{
-}
-
-InferenceServer::InferenceServer(split::SplitModel& model,
-                                 const core::NoiseCollection* collection,
-                                 const InferenceServerConfig& config)
-    : InferenceServer(model, nullptr, shim_policy(collection, config),
-                      shim_config(collection, config))
-{
-}
-
-InferenceServer::InferenceServer(
-    split::SplitModel& model, const NoisePolicy* policy,
-    std::unique_ptr<const NoisePolicy> owned_policy,
-    const InferenceServerConfig& config)
     : model_(model),
-      owned_policy_(std::move(owned_policy)),
-      policy_(policy != nullptr ? policy : owned_policy_.get()),
+      policy_(policy),
       config_(config),
       sample_size_(0),
       controller_(config.controller),
       bucket_(config.rate_limit_qps, config.rate_limit_burst)
 {
-    SHREDDER_CHECK(policy_ != nullptr, "server constructed with no policy");
     SHREDDER_REQUIRE(config_.max_batch >= 1,
                      "max_batch must be positive, got ",
                      config_.max_batch);
@@ -177,7 +118,7 @@ InferenceServer::InferenceServer(
         pool_ = owned_pool_.get();
     }
 
-    const Shape policy_shape = policy_->noise_shape();
+    const Shape policy_shape = policy_.noise_shape();
     if (config_.sample_shape.rank() > 0) {
         sample_shape_ = config_.sample_shape;
     } else if (policy_shape.rank() > 0) {
@@ -208,9 +149,7 @@ InferenceServer::InferenceServer(
     contexts_.reserve(static_cast<std::size_t>(n_ctx));
     free_contexts_.reserve(static_cast<std::size_t>(n_ctx));
     for (std::int64_t i = 0; i < n_ctx; ++i) {
-        const auto ctx_tag = 0xC7C7C7C7ULL + static_cast<std::uint64_t>(i);
-        contexts_.push_back(std::make_unique<nn::ExecutionContext>(
-            noise_seed(config_.seed, ctx_tag)));
+        contexts_.push_back(std::make_unique<nn::ExecutionContext>());
         // Serving never back-propagates: skip the per-layer activation
         // caches (one full tensor copy per layer per batch otherwise).
         contexts_.back()->set_retain_activations(false);
@@ -226,9 +165,8 @@ void
 InferenceServer::prepare_direct_path()
 {
     // All preconditions are structural and known at construction; a
-    // batch additionally requires a uniform encoding (all-int8 for
-    // the int8 path, all-fp32 for the fused path).
-    if (!policy_->additive() || sample_size_ == 0) {
+    // batch additionally requires every request to arrive int8.
+    if (!config_.int8_compute || !policy_.additive() || sample_size_ == 0) {
         return;
     }
     nn::Sequential& net = model_.network();
@@ -241,35 +179,18 @@ InferenceServer::prepare_direct_path()
         return;
     }
     auto* linear = dynamic_cast<nn::Linear*>(&net.layer(idx));
-    if (linear == nullptr || linear->in_features() != sample_size_) {
+    if (linear == nullptr || linear->in_features() != sample_size_ ||
+        linear->in_features() > kS8MaxK) {
         return;
     }
     direct_bias_ =
         linear->has_bias() ? linear->bias().value.data() : nullptr;
     direct_out_features_ = linear->out_features();
     tail_begin_ = idx + 1;
-
-    if (config_.fuse_fp32_noise) {
-        // The fused path recovers each request's noise as a single
-        // row (`apply(0, id)`) and performs ONE fp32 add per element.
-        // A multi-stage additive composition rounds between stages on
-        // the general path (`(a + n1) + n2`), which one fused add
-        // (`a + (n1 + n2)`) cannot reproduce bit-for-bit — so those
-        // stay on the general path regardless of batch composition.
-        const auto* composed =
-            dynamic_cast<const ComposedPolicy*>(policy_);
-        if (composed == nullptr || composed->stages().size() <= 1) {
-            f32_weights_ = linear->weight().value.data();
-            fp32_ready_ = true;
-        }
-    }
-
-    if (config_.int8_compute && linear->in_features() <= kS8MaxK) {
-        s8_weights_ = prepare_s8_weights(linear->weight().value.data(),
-                                         linear->out_features(),
-                                         linear->in_features());
-        int8_ready_ = true;
-    }
+    s8_weights_ = prepare_s8_weights(linear->weight().value.data(),
+                                     linear->out_features(),
+                                     linear->in_features());
+    int8_ready_ = true;
 }
 
 InferenceServer::~InferenceServer() { shutdown(); }
@@ -615,19 +536,15 @@ InferenceServer::execute_batch(std::vector<Request> batch)
     Stopwatch execution;
     std::int64_t quantized_count = 0;
     bool direct = int8_ready_;
-    bool fp32_direct = fp32_ready_;
     for (const Request& request : batch) {
         quantized_count += request.is_quantized ? 1 : 0;
         direct = direct && request.is_quantized &&
                  request.quantized.dtype == WireDtype::kI8;
-        fp32_direct = fp32_direct && !request.is_quantized;
     }
 
     Tensor logits;
     if (direct) {
         logits = forward_batch_int8(batch, n);
-    } else if (fp32_direct) {
-        logits = forward_batch_fp32_fused(batch, n);
     } else {
         Tensor fused(batched_shape(sample_shape_, n));
         for (std::int64_t i = 0; i < n; ++i) {
@@ -641,7 +558,7 @@ InferenceServer::execute_batch(std::vector<Request> batch)
                 const Tensor decoded = dequantize(request.quantized);
                 const float* src = decoded.data();
                 std::copy(src, src + sample_size_, row);
-                policy_->apply_into(decoded, request.id, row);
+                policy_.apply_into(decoded, request.id, row);
             } else {
                 const float* src = request.activation.data();
                 std::copy(src, src + sample_size_, row);
@@ -649,7 +566,7 @@ InferenceServer::execute_batch(std::vector<Request> batch)
                 // fused row — id-derived draws, so concurrent batches
                 // sample lock-free and a replay reproduces the
                 // assignment.
-                policy_->apply_into(request.activation, request.id, row);
+                policy_.apply_into(request.activation, request.id, row);
             }
         }
 
@@ -675,7 +592,6 @@ InferenceServer::execute_batch(std::vector<Request> batch)
         stats_.max_batch_seen = std::max(stats_.max_batch_seen, n);
         stats_.quantized_requests += quantized_count;
         stats_.int8_direct_batches += direct ? 1 : 0;
-        stats_.fp32_fused_batches += fp32_direct ? 1 : 0;
         for (const int bucket : wait_buckets) {
             ++stats_.queue_wait_hist[bucket];
         }
@@ -714,7 +630,7 @@ InferenceServer::forward_batch_int8(const std::vector<Request>& batch,
     noise_rows.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
         const Request& request = batch[static_cast<std::size_t>(i)];
-        noise_rows.push_back(policy_->apply(zeros, request.id));
+        noise_rows.push_back(policy_.apply(zeros, request.id));
         a_rows[static_cast<std::size_t>(i)] = request.quantized.i8();
         a_scale[static_cast<std::size_t>(i)] = request.quantized.scale;
         a_zp[static_cast<std::size_t>(i)] = request.quantized.zero_point;
@@ -727,42 +643,6 @@ InferenceServer::forward_batch_int8(const std::vector<Request>& batch,
             a_scale.data(), a_zp.data(), a_noise.data(),
             s8_weights_.data.data(), s8_weights_.scale,
             s8_weights_.colsum.data(), direct_bias_, first.data());
-
-    nn::ExecutionContext* ctx = acquire_context();
-    Tensor logits = model_.network().forward_range(
-        first, tail_begin_, -1, *ctx, nn::Mode::kEval);
-    release_context(ctx);
-    return logits;
-}
-
-Tensor
-InferenceServer::forward_batch_fp32_fused(
-    const std::vector<Request>& batch, std::int64_t n)
-{
-    // fp32 twin of the int8 direct path: per-request activation rows
-    // feed gemm_rows_fused, which adds each request's noise row inside
-    // its A-panel packing pass — no fused batch tensor and no separate
-    // noise-add pass over the data. Bit-exact with the general path by
-    // gemm_rows_fused's contract (single-add policies only; see
-    // prepare_direct_path).
-    std::vector<const float*> a_rows(static_cast<std::size_t>(n));
-    std::vector<const float*> a_noise(static_cast<std::size_t>(n));
-    // Additive policies: apply(0, id) IS the noise row (bit-identical
-    // to what apply_into would have added on the general path).
-    const Tensor zeros = Tensor::zeros(sample_shape_);
-    std::vector<Tensor> noise_rows;
-    noise_rows.reserve(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-        const Request& request = batch[static_cast<std::size_t>(i)];
-        noise_rows.push_back(policy_->apply(zeros, request.id));
-        a_rows[static_cast<std::size_t>(i)] = request.activation.data();
-        a_noise[static_cast<std::size_t>(i)] = noise_rows.back().data();
-    }
-
-    Tensor first(Shape({n, direct_out_features_}));
-    gemm_rows_fused(n, direct_out_features_, sample_size_, a_rows.data(),
-                    a_noise.data(), f32_weights_, direct_bias_,
-                    first.data());
 
     nn::ExecutionContext* ctx = acquire_context();
     Tensor logits = model_.network().forward_range(

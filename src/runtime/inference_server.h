@@ -66,7 +66,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/noise_collection.h"
 #include "src/runtime/admission.h"
 #include "src/runtime/batch_controller.h"
 #include "src/nn/execution_context.h"
@@ -151,20 +150,6 @@ struct InferenceServerConfig
      */
     std::int64_t max_concurrent_batches = 0;
     /**
-     * DEPRECATED — read only by the legacy `(model, collection)`
-     * constructor shim, where it selects `ReplayPolicy` (true) or
-     * `NoNoisePolicy` (false). The policy constructor ignores it:
-     * the policy object *is* the mechanism.
-     */
-    bool apply_noise = true;
-    /**
-     * Root seed of the legacy shim's `ReplayPolicy` (matching the
-     * historical behavior `Rng(noise_seed(seed, id))`) and of the
-     * pooled execution contexts' RNGs. Policy-constructed servers
-     * carry their noise seed inside the policy instead.
-     */
-    std::uint64_t seed = 0xC0FFEE;
-    /**
      * Per-sample activation shape at the cut (rank 1–3). When set
      * (rank > 0) it fixes the server's shape contract at
      * construction. When unset, the contract comes from the policy's
@@ -187,20 +172,6 @@ struct InferenceServerConfig
      * `ServerStats::int8_direct_batches` shows whether it engaged.
      */
     bool int8_compute = false;
-    /**
-     * Fuse the policy's additive noise into the fp32 GEMM A-panel
-     * packing pass (`gemm_rows_fused`) instead of materializing a
-     * noised batch tensor first — the fp32 twin of the int8 direct
-     * path. Engaged per batch when the same structural preconditions
-     * hold (cut on `nn::Linear`, optionally behind a `Flatten`;
-     * pinned sample shape; additive policy performing a single add —
-     * multi-stage compositions stay on the general path so stage-wise
-     * rounding is preserved) and every request in the batch is fp32.
-     * Bit-exact with the general path by `gemm_rows_fused`'s
-     * contract, so the knob only exists for A/B measurement;
-     * `ServerStats::fp32_fused_batches` shows engagement.
-     */
-    bool fuse_fp32_noise = true;
     /**
      * Token-bucket admission rate in requests/second; 0 disables.
      * Over-limit submits fail their own future with `kRateLimited`
@@ -256,8 +227,6 @@ struct ServerStats
     std::int64_t quantized_requests = 0;
     /** Batches served by the int8 direct-consume GEMM path. */
     std::int64_t int8_direct_batches = 0;
-    /** Batches served by the fused-noise fp32 GEMM path. */
-    std::int64_t fp32_fused_batches = 0;
     /** Submits rejected by the token-bucket rate limit. */
     std::int64_t rate_limited = 0;
     /** Submits rejected by the in-flight cap. */
@@ -342,20 +311,6 @@ class InferenceServer
     InferenceServer(split::SplitModel& model, const NoisePolicy& policy,
                     const InferenceServerConfig& config = {});
 
-    /**
-     * DEPRECATED shim for the pre-policy API: `config.apply_noise`
-     * true wraps `collection` in a `ReplayPolicy(config.seed)` (the
-     * bit-exact historical behavior), false serves a `NoNoisePolicy`.
-     * New code should construct a policy explicitly.
-     *
-     * @param collection  Learned collection replayed per request; may
-     *                    be null only when `config.apply_noise` is
-     *                    false. Must outlive the server.
-     */
-    InferenceServer(split::SplitModel& model,
-                    const core::NoiseCollection* collection,
-                    const InferenceServerConfig& config = {});
-
     /** Drains outstanding requests, then stops the workers. */
     ~InferenceServer();
 
@@ -437,7 +392,7 @@ class InferenceServer
     ServerStats stats() const;
 
     /** The noise mechanism this server executes. */
-    const NoisePolicy& policy() const { return *policy_; }
+    const NoisePolicy& policy() const { return policy_; }
 
     /**
      * Per-sample activation shape the server expects (no batch dim).
@@ -464,15 +419,6 @@ class InferenceServer
      */
     static constexpr std::uint64_t kAutoIdBase = 1ULL << 63;
 
-    /**
-     * Seed of request `request_id`'s private noise RNG under root
-     * seed `root_seed`. Kept as a static member for source
-     * compatibility — it simply forwards to the free function
-     * `runtime::noise_seed` (noise_policy.h) that all policies use.
-     */
-    static std::uint64_t noise_seed(std::uint64_t root_seed,
-                                    std::uint64_t request_id);
-
   private:
     struct Request
     {
@@ -483,11 +429,6 @@ class InferenceServer
         std::uint64_t id = 0;  ///< Selects the noise draw.
         Stopwatch queued;      ///< Started at submit time.
     };
-
-    /** Common constructor body (borrowed or shim-owned policy). */
-    InferenceServer(split::SplitModel& model, const NoisePolicy* policy,
-                    std::unique_ptr<const NoisePolicy> owned_policy,
-                    const InferenceServerConfig& config);
 
     /** Shared fp32 submit path; has_id=false auto-assigns the id. */
     void submit_impl(Tensor activation, bool has_id,
@@ -503,23 +444,18 @@ class InferenceServer
                  bool has_id, std::uint64_t request_id);
 
     /**
-     * Inspect the cloud half at construction: when the cut lands on
-     * `nn::Linear` (optionally behind a `Flatten`) and the policy is
-     * additive, arm the direct GEMM paths — the fused-noise fp32 path
-     * (`fp32_ready_`, single-add policies only) and, under
-     * `int8_compute`, the int8 snapshot (`int8_ready_`). Records
-     * where the tail forward resumes; leaves both flags false when
-     * the topology or policy disqualifies them.
+     * Inspect the cloud half at construction: under `int8_compute`,
+     * when the cut lands on `nn::Linear` (optionally behind a
+     * `Flatten`) and the policy is additive, snapshot the layer's
+     * int8 weights and record where the tail forward resumes
+     * (`int8_ready_`). Leaves the flag false when the topology or
+     * policy disqualifies the path; fp32 batches never take it.
      */
     void prepare_direct_path();
 
     /** The int8 direct-consume batch body (see execute_batch). */
     Tensor forward_batch_int8(const std::vector<Request>& batch,
                               std::int64_t n);
-
-    /** The fused-noise fp32 batch body (see execute_batch). */
-    Tensor forward_batch_fp32_fused(const std::vector<Request>& batch,
-                                    std::int64_t n);
 
     /** Dispatcher loop: form batches, hand them to the pool. */
     void dispatch_loop();
@@ -534,21 +470,18 @@ class InferenceServer
     void release_context(nn::ExecutionContext* ctx);
 
     split::SplitModel& model_;
-    std::unique_ptr<const NoisePolicy> owned_policy_;  ///< Shim only.
-    const NoisePolicy* policy_;  ///< The mechanism; never null.
+    const NoisePolicy& policy_;  ///< The mechanism (borrowed).
     InferenceServerConfig config_;
     Shape sample_shape_;        ///< Per-sample activation shape.
     std::int64_t sample_size_;  ///< Elements per activation.
 
-    // Direct GEMM paths (prepare_direct_path; immutable after
-    // construction, so batch workers read them lock-free).
+    // The int8 direct path (prepare_direct_path; immutable after
+    // construction, so batch workers read it lock-free).
     bool int8_ready_ = false;
-    bool fp32_ready_ = false;          ///< Fused-noise fp32 path armed.
     std::int64_t tail_begin_ = 0;      ///< First layer after the GEMM.
     std::int64_t direct_out_features_ = 0;  ///< Linear's out width.
     S8Weights s8_weights_;
     const float* direct_bias_ = nullptr;  ///< Linear's bias (or null).
-    const float* f32_weights_ = nullptr;  ///< Linear's [out, in] data.
 
     std::unique_ptr<ThreadPool> owned_pool_;  ///< Null when shared.
     ThreadPool* pool_;  ///< Owned or `config.pool`; never null.

@@ -150,7 +150,6 @@ ServingEngine::install_endpoint(const std::string& name, Endpoint endpoint,
     server_config.controller.slo_ms = config.slo_ms;
     server_config.controller.ewma_alpha = config.ewma_alpha;
     server_config.max_concurrent_batches = config.max_concurrent_batches;
-    server_config.seed = config.context_seed;
     server_config.sample_shape = config.sample_shape;
     server_config.int8_compute = config.int8_compute.value_or(false);
     server_config.rate_limit_qps = config.rate_limit_qps;
@@ -430,7 +429,6 @@ ServingEngine::stats() const
         aggregate.deadline_dispatches += s.deadline_dispatches;
         aggregate.quantized_requests += s.quantized_requests;
         aggregate.int8_direct_batches += s.int8_direct_batches;
-        aggregate.fp32_fused_batches += s.fp32_fused_batches;
         aggregate.rate_limited += s.rate_limited;
         aggregate.admission_rejected += s.admission_rejected;
         aggregate.in_flight += s.in_flight;

@@ -126,8 +126,6 @@ struct EndpointConfig
      * `ExecutionContext` pool size). 0 = one per shared worker.
      */
     std::int64_t max_concurrent_batches = 0;
-    /** Seed of the endpoint's execution-context RNGs. */
-    std::uint64_t context_seed = 0xC0FFEE;
     /**
      * Per-sample activation shape pin (rank 1–3); rank 0 defers to
      * the policy's `noise_shape()` or first-request adoption, as in

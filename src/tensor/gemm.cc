@@ -343,132 +343,6 @@ gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 }
 
 /**
- * Row-pointer twin of `pack_a` for the fused fp32 noise path: element
- * (i, p) of the block is `a_rows[row0+i][p0+p]` plus its noise row.
- * The add happens here, in fp32, exactly where a materialized fused
- * activation would have been read — producing the same single-rounded
- * sum `pack_a` would have packed, so downstream accumulation sees
- * bit-identical panels.
- */
-void
-pack_a_rows(std::int64_t mc, std::int64_t kc, const float* const* a_rows,
-            const float* const* a_noise, std::int64_t row0,
-            std::int64_t p0, float* out)
-{
-    for (std::int64_t i0 = 0; i0 < mc; i0 += kMr) {
-        const std::int64_t h = std::min(kMr, mc - i0);
-        float* panel = out + i0 * kc;
-        for (std::int64_t i = 0; i < h; ++i) {
-            const float* arow = a_rows[row0 + i0 + i] + p0;
-            const float* nrow =
-                a_noise != nullptr && a_noise[row0 + i0 + i] != nullptr
-                    ? a_noise[row0 + i0 + i] + p0
-                    : nullptr;
-            if (nrow != nullptr) {
-                for (std::int64_t p = 0; p < kc; ++p) {
-                    panel[p * kMr + i] = arow[p] + nrow[p];
-                }
-            } else {
-                for (std::int64_t p = 0; p < kc; ++p) {
-                    panel[p * kMr + i] = arow[p];
-                }
-            }
-        }
-        for (std::int64_t i = h; i < kMr; ++i) {
-            for (std::int64_t p = 0; p < kc; ++p) {
-                panel[p * kMr + i] = 0.0f;
-            }
-        }
-    }
-}
-
-/**
- * Strided fallback of the fused-rows path. Mirrors `gemm_small`'s
- * dot-order branch for b_cs = k (the only stride combination the
- * rows API produces: B is n×k row-major used transposed), including
- * the double accumulator — the fused add is the only difference.
- */
-void
-gemm_small_rows(std::int64_t m, std::int64_t n, std::int64_t k,
-                const float* const* a_rows, const float* const* a_noise,
-                const float* b, float* c)
-{
-    for (std::int64_t i = 0; i < m; ++i) {
-        const float* arow = a_rows[i];
-        const float* nrow = a_noise != nullptr ? a_noise[i] : nullptr;
-        for (std::int64_t j = 0; j < n; ++j) {
-            const float* bcol = b + j * k;
-            double acc = 0.0;
-            if (nrow != nullptr) {
-                for (std::int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(arow[p] + nrow[p]) *
-                           bcol[p];
-                }
-            } else {
-                for (std::int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(arow[p]) * bcol[p];
-                }
-            }
-            c[i * n + j] += static_cast<float>(acc);
-        }
-    }
-}
-
-/** Blocked path of the fused-rows twin; loop nest as `gemm_blocked`. */
-void
-gemm_blocked_rows(std::int64_t m, std::int64_t n, std::int64_t k,
-                  const float* const* a_rows, const float* const* a_noise,
-                  const float* b, float* c)
-{
-    const KernelChoice& kern = kernel_choice();
-    const std::int64_t knr = kern.nr;
-    ScratchArena& arena = ScratchArena::for_this_thread();
-    for (std::int64_t jc = 0; jc < n; jc += kNc) {
-        const std::int64_t nc = std::min(kNc, n - jc);
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            const std::int64_t kc = std::min(kKc, k - pc);
-            ScratchLease bpack = arena.acquire(
-                static_cast<std::size_t>(round_up(nc, knr) * kc));
-            // B is used transposed: op(B)(p,j) = b[p + j*k].
-            pack_b(kc, nc, knr, b + pc + jc * k, 1, k, bpack.data());
-
-            const float* bpack_data = bpack.data();
-            const std::int64_t num_blocks = (m + kMc - 1) / kMc;
-            auto row_block = [&](std::int64_t blk) {
-                const std::int64_t ic = blk * kMc;
-                const std::int64_t mc = std::min(kMc, m - ic);
-                ScratchLease apack =
-                    ScratchArena::for_this_thread().acquire(
-                        static_cast<std::size_t>(round_up(mc, kMr) * kc));
-                pack_a_rows(mc, kc, a_rows, a_noise, ic, pc,
-                            apack.data());
-                for (std::int64_t jr = 0; jr < nc; jr += knr) {
-                    const std::int64_t nr = std::min(knr, nc - jr);
-                    const float* bpanel = bpack_data + jr * kc;
-                    for (std::int64_t ir = 0; ir < mc; ir += kMr) {
-                        kern.fn(kc, apack.data() + ir * kc, bpanel, 1.0f,
-                                c + (ic + ir) * n + jc + jr, n,
-                                std::min(kMr, mc - ir), nr);
-                    }
-                }
-            };
-
-            const bool threaded = num_blocks > 1 &&
-                                  m * n * k >= kParallelMinWork &&
-                                  !ThreadPool::in_worker() &&
-                                  ThreadPool::global().size() > 1;
-            if (threaded) {
-                parallel_for(0, num_blocks, row_block);
-            } else {
-                for (std::int64_t blk = 0; blk < num_blocks; ++blk) {
-                    row_block(blk);
-                }
-            }
-        }
-    }
-}
-
-/**
  * Packed-activation clamp of the int8 path: bounds the int16 image of
  * activation + quantized noise so a k ≤ kS8MaxK dot product cannot
  * overflow the int32 accumulator (2047 · 128 · 8192 < 2³¹).
@@ -651,36 +525,6 @@ gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
         return;
     }
     gemm_blocked(m, n, k, alpha, a, a_rs, a_cs, b, b_rs, b_cs, c);
-}
-
-void
-gemm_rows_fused(std::int64_t m, std::int64_t n, std::int64_t k,
-                const float* const* a_rows, const float* const* a_noise,
-                const float* b, const float* bias, float* c)
-{
-    SHREDDER_CHECK(m >= 0 && n >= 0 && k >= 0,
-                   "negative gemm_rows_fused dims");
-    // Same beta = 0 semantics as gemm(): zero first, accumulate after.
-    std::fill(c, c + m * n, 0.0f);
-    if (m != 0 && n != 0 && k != 0) {
-        // The same path-selection condition as gemm() — the bit-exact
-        // contract requires matching its small/blocked split.
-        if (m < kMr || n < kNrSse || m * n * k <= kSmallWork) {
-            gemm_small_rows(m, n, k, a_rows, a_noise, b, c);
-        } else {
-            gemm_blocked_rows(m, n, k, a_rows, a_noise, b, c);
-        }
-    }
-    if (bias != nullptr) {
-        // Linear's bias epilogue, same order, so direct-path outputs
-        // match Linear::forward bit for bit.
-        for (std::int64_t i = 0; i < m; ++i) {
-            float* crow = c + i * n;
-            for (std::int64_t j = 0; j < n; ++j) {
-                crow[j] += bias[j];
-            }
-        }
-    }
 }
 
 }  // namespace shredder

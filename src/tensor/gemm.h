@@ -112,43 +112,6 @@ void gemm_s8(std::int64_t m, std::int64_t n, std::int64_t k,
              const std::int8_t* b, float b_scale,
              const std::int32_t* b_colsum, const float* bias, float* c);
 
-/**
- * fp32 twin of `gemm_s8`'s fused-noise shape: per-request activation
- * rows times an n×k row-major weight matrix (`nn::Linear`'s native
- * [out, in] layout), with the noise policy's additive noise added
- * inside the A-panel packing pass:
- *
- *   C[i][j] = Σ_p (a_rows[i][p] + noise[i][p]) · b[j][p]
- *             + (bias ? bias[j] : 0)
- *
- * Packing touches every activation element anyway, so the add is free
- * bandwidth — no fused m×k activation tensor is ever materialized.
- *
- * Bit-exactness contract (pinned by tests/test_gemm.cc): the result is
- * bit-identical to materializing `fused = a + noise` row by row and
- * running `gemm(false, true, m, n, k, 1, fused, b, 0, c)` followed by
- * `Linear`'s bias loop. The fused add performs the same single fp32
- * addition per element the materialization would, before any
- * accumulation, and both the packing loops and the small-problem
- * fallback mirror `gemm()`'s structures exactly — including the
- * strided fallback's double accumulator and the small/blocked
- * path-selection condition.
- *
- * @param m        Batch rows.
- * @param n        Output features (rows of `b`).
- * @param k        Inner dimension.
- * @param a_rows   m pointers to fp32 activation rows of length k.
- * @param a_noise  Per-row fp32 additive-noise pointers (the array or
- *                 individual entries may be null for "no noise").
- * @param b        n×k row-major fp32 weights.
- * @param bias     Optional fp32 bias of length n (null for none).
- * @param c        Output, row-major m×n fp32 (overwritten).
- */
-void gemm_rows_fused(std::int64_t m, std::int64_t n, std::int64_t k,
-                     const float* const* a_rows,
-                     const float* const* a_noise, const float* b,
-                     const float* bias, float* c);
-
 }  // namespace shredder
 
 #endif  // SHREDDER_TENSOR_GEMM_H

@@ -909,6 +909,13 @@ TEST(Manifest, MalformedManifestsThrowTyped)
     expect_manifest_error("endpoint a x.shb wire_dtype=\n");
     expect_manifest_error("endpoint a x.shb int8_compute=maybe\n");
     expect_manifest_error("endpoint a x.shb\nendpoint a y.shb\n");
+    // Non-finite numbers: std::stod accepts them and NaN slips past
+    // every range check.
+    expect_manifest_error("endpoint a x.shb slo_ms=nan\n");
+    expect_manifest_error("endpoint a x.shb ewma_alpha=nan\n");
+    expect_manifest_error("endpoint a x.shb rate_limit_qps=nan\n");
+    expect_manifest_error("endpoint a x.shb rate_limit_burst=nan\n");
+    expect_manifest_error("endpoint a x.shb batch_timeout_ms=inf\n");
 
     try {  // Missing manifest file.
         deploy::parse_manifest(temp_path("no_such_manifest.txt"));

@@ -258,160 +258,5 @@ TEST(Gemm, LargeBlockedKPath)
     }
 }
 
-// ---------------------------------------------------------------------
-// gemm_rows_fused: the fused noise-add serving path. The contract is
-// BIT-exactness against materialize-then-gemm (apply the add into a
-// buffer, run gemm(false, true, ...), add the bias the way
-// nn::Linear::forward does) — not tolerance-near, EXPECT_EQ on bits.
-// ---------------------------------------------------------------------
-
-/** The general path `gemm_rows_fused` must match bit for bit. */
-void
-fused_reference(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::vector<const float*>& a_rows,
-                const std::vector<const float*>& a_noise,
-                const std::vector<float>& b, const float* bias,
-                std::vector<float>& c)
-{
-    std::vector<float> fused(static_cast<std::size_t>(m * k));
-    for (std::int64_t i = 0; i < m; ++i) {
-        const float* arow = a_rows[static_cast<std::size_t>(i)];
-        const float* nrow =
-            a_noise.empty() ? nullptr
-                            : a_noise[static_cast<std::size_t>(i)];
-        for (std::int64_t p = 0; p < k; ++p) {
-            fused[static_cast<std::size_t>(i * k + p)] =
-                nrow != nullptr ? arow[p] + nrow[p] : arow[p];
-        }
-    }
-    gemm(false, true, m, n, k, 1.0f, fused.data(), b.data(), 0.0f,
-         c.data());
-    if (bias != nullptr) {
-        for (std::int64_t i = 0; i < m; ++i) {
-            for (std::int64_t j = 0; j < n; ++j) {
-                c[static_cast<std::size_t>(i * n + j)] += bias[j];
-            }
-        }
-    }
-}
-
-using FusedParam = std::tuple<int, int, int>;
-
-class GemmRowsFusedBitExact : public ::testing::TestWithParam<FusedParam>
-{};
-
-TEST_P(GemmRowsFusedBitExact, MatchesMaterializeThenGemm)
-{
-    const auto [m, n, k] = GetParam();
-    Rng rng(static_cast<std::uint64_t>(m * 977 + n * 31 + k));
-    std::vector<std::vector<float>> acts(static_cast<std::size_t>(m));
-    std::vector<std::vector<float>> noise(static_cast<std::size_t>(m));
-    std::vector<const float*> a_rows;
-    std::vector<const float*> a_noise;
-    for (std::int64_t i = 0; i < m; ++i) {
-        auto& act = acts[static_cast<std::size_t>(i)];
-        auto& noi = noise[static_cast<std::size_t>(i)];
-        act.resize(static_cast<std::size_t>(k));
-        noi.resize(static_cast<std::size_t>(k));
-        for (auto& v : act) {
-            v = rng.normal();
-        }
-        for (auto& v : noi) {
-            v = rng.normal();
-        }
-        a_rows.push_back(act.data());
-        a_noise.push_back(noi.data());
-    }
-    std::vector<float> b(static_cast<std::size_t>(n * k));  // [n, k]
-    std::vector<float> bias(static_cast<std::size_t>(n));
-    for (auto& v : b) {
-        v = rng.normal();
-    }
-    for (auto& v : bias) {
-        v = rng.normal();
-    }
-
-    std::vector<float> c(static_cast<std::size_t>(m * n), -7.0f);
-    std::vector<float> c_ref(static_cast<std::size_t>(m * n), 3.0f);
-    gemm_rows_fused(m, n, k, a_rows.data(), a_noise.data(), b.data(),
-                    bias.data(), c.data());
-    fused_reference(m, n, k, a_rows, a_noise, b, bias.data(), c_ref);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-        ASSERT_EQ(c[i], c_ref[i]) << "bit mismatch at " << i;
-    }
-
-    // Null noise array = no add; bit-exact against the plain product.
-    std::vector<float> c_plain(static_cast<std::size_t>(m * n));
-    std::vector<float> c_plain_ref(static_cast<std::size_t>(m * n));
-    gemm_rows_fused(m, n, k, a_rows.data(), nullptr, b.data(), nullptr,
-                    c_plain.data());
-    fused_reference(m, n, k, a_rows, {}, b, nullptr, c_plain_ref);
-    for (std::size_t i = 0; i < c_plain.size(); ++i) {
-        ASSERT_EQ(c_plain[i], c_plain_ref[i]) << "null-noise at " << i;
-    }
-}
-
-// Same grids as the plain-GEMM suite: tile boundaries (MR=6, NR=8/16),
-// the small-work threshold, odd primes.
-INSTANTIATE_TEST_SUITE_P(AllVariants, GemmRowsFusedBitExact,
-                         ::testing::Combine(::testing::Values(1, 3, 17,
-                                                              64),
-                                            ::testing::Values(1, 5, 33),
-                                            ::testing::Values(1, 8,
-                                                              129)));
-
-INSTANTIATE_TEST_SUITE_P(TileBoundaries, GemmRowsFusedBitExact,
-                         ::testing::Combine(::testing::Values(5, 6, 7,
-                                                              97),
-                                            ::testing::Values(15, 16, 17,
-                                                              61),
-                                            ::testing::Values(31, 43)));
-
-// The K-blocking boundary (kKc = 256): below / exactly / above / deep
-// into the second K block, at shapes big enough to take the blocked
-// path.
-INSTANTIATE_TEST_SUITE_P(KcBlockBoundary, GemmRowsFusedBitExact,
-                         ::testing::Combine(::testing::Values(23),
-                                            ::testing::Values(24),
-                                            ::testing::Values(255, 256,
-                                                              257, 300)));
-
-TEST(GemmRowsFused, SingleRowNullNoiseEntry)
-{
-    // Per-row null inside a non-null noise array: that row adds
-    // nothing, others still fuse.
-    const std::int64_t m = 3, n = 4, k = 8;
-    Rng rng(11);
-    std::vector<std::vector<float>> acts(3), noise(3);
-    std::vector<const float*> a_rows, a_noise;
-    for (int i = 0; i < 3; ++i) {
-        acts[i].resize(k);
-        noise[i].resize(k);
-        for (auto& v : acts[i]) {
-            v = rng.normal();
-        }
-        for (auto& v : noise[i]) {
-            v = rng.normal();
-        }
-        a_rows.push_back(acts[i].data());
-        a_noise.push_back(i == 1 ? nullptr : noise[i].data());
-    }
-    std::vector<float> b(static_cast<std::size_t>(n * k));
-    for (auto& v : b) {
-        v = rng.normal();
-    }
-    std::vector<float> zeros(static_cast<std::size_t>(k), 0.0f);
-    std::vector<const float*> ref_noise = {noise[0].data(), zeros.data(),
-                                           noise[2].data()};
-    std::vector<float> c(static_cast<std::size_t>(m * n));
-    std::vector<float> c_ref(static_cast<std::size_t>(m * n));
-    gemm_rows_fused(m, n, k, a_rows.data(), a_noise.data(), b.data(),
-                    nullptr, c.data());
-    fused_reference(m, n, k, a_rows, ref_noise, b, nullptr, c_ref);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-        EXPECT_EQ(c[i], c_ref[i]);
-    }
-}
-
 }  // namespace
 }  // namespace shredder

@@ -6,10 +6,9 @@
  * by the shared conformance suite (tests/policy_contract.h),
  * instantiated here for the core policies (none/replay/sample/fixed
  * plus the wire-codec QuantizePolicy). What remains below is
- * the mechanism-specific behavior the suite cannot know: the seeding
- * compatibility contract, constructor conveniences, and misuse death
- * tests. (The shuffle/composed instantiations live in
- * tests/test_shuffle_policy.cc.)
+ * the mechanism-specific behavior the suite cannot know: constructor
+ * conveniences and misuse death tests. (The shuffle/composed
+ * instantiations live in tests/test_shuffle_policy.cc.)
  */
 #include <cstdint>
 #include <memory>
@@ -21,7 +20,6 @@
 #include "src/core/noise_collection.h"
 #include "src/core/noise_distribution.h"
 #include "src/core/privacy_meter.h"
-#include "src/runtime/inference_server.h"
 #include "src/runtime/noise_policy.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/quantize.h"
@@ -151,19 +149,6 @@ INSTANTIATE_TEST_SUITE_P(CorePolicies, PolicyContract,
 // ---------------------------------------------------------------------
 // Mechanism-specific behavior the generic suite cannot know.
 // ---------------------------------------------------------------------
-
-TEST(NoiseSeed, MatchesTheServerStaticForCompatibility)
-{
-    // The free function is the canonical definition; the old static
-    // member must keep forwarding to it so existing replay recipes
-    // (`InferenceServer::noise_seed`) never drift.
-    for (std::uint64_t seed : {0ULL, 1ULL, 0xC0FFEEULL}) {
-        for (std::uint64_t id : {0ULL, 7ULL, (1ULL << 63) + 5ULL}) {
-            EXPECT_EQ(noise_seed(seed, id),
-                      runtime::InferenceServer::noise_seed(seed, id));
-        }
-    }
-}
 
 TEST(NoisePolicy, NamesAndShapeContracts)
 {

@@ -9,6 +9,7 @@
 #include "src/core/noise_collection.h"
 #include "src/models/zoo.h"
 #include "src/runtime/inference_server.h"
+#include "src/runtime/noise_policy.h"
 #include "src/runtime/serving_error.h"
 #include "src/split/split_model.h"
 #include "src/tensor/ops.h"
@@ -19,8 +20,13 @@ namespace {
 
 using runtime::InferenceServer;
 using runtime::InferenceServerConfig;
+using runtime::NoNoisePolicy;
+using runtime::ReplayPolicy;
 using runtime::ServingError;
 using runtime::ServingErrorCode;
+
+/** Replay root seed of the tests that do not pin their own. */
+constexpr std::uint64_t kSeed = 0xC0FFEE;
 
 /** Expect `future` to fail with a specific `ServingError` code. */
 void
@@ -87,10 +93,10 @@ struct Fixture
 TEST(InferenceServer, MatchesDirectCloudForward)
 {
     Fixture fx;
+    NoNoisePolicy policy;
     InferenceServerConfig cfg;
-    cfg.apply_noise = false;
     cfg.max_batch = 4;
-    InferenceServer server(fx.model, nullptr, cfg);
+    InferenceServer server(fx.model, policy, cfg);
 
     nn::ExecutionContext ctx;
     for (int i = 0; i < 5; ++i) {
@@ -112,6 +118,7 @@ TEST(InferenceServer, BatchedEqualsSequential)
     // deterministic, so batched and sequential runs see identical
     // noise regardless of batch composition.
     core::NoiseCollection coll = fx.collection(1);
+    ReplayPolicy policy(coll, kSeed);
 
     std::vector<Tensor> activations;
     for (int i = 0; i < 12; ++i) {
@@ -124,7 +131,7 @@ TEST(InferenceServer, BatchedEqualsSequential)
         InferenceServerConfig cfg;
         cfg.max_batch = 1;
         cfg.batch_timeout_ms = 0.0;
-        InferenceServer server(fx.model, &coll, cfg);
+        InferenceServer server(fx.model, policy, cfg);
         for (const Tensor& a : activations) {
             sequential.push_back(server.infer(a));
         }
@@ -134,7 +141,7 @@ TEST(InferenceServer, BatchedEqualsSequential)
     InferenceServerConfig cfg;
     cfg.max_batch = 5;
     cfg.batch_timeout_ms = 20.0;
-    InferenceServer server(fx.model, &coll, cfg);
+    InferenceServer server(fx.model, policy, cfg);
     std::vector<std::future<Tensor>> futures;
     for (const Tensor& a : activations) {
         futures.push_back(server.submit(a));
@@ -156,12 +163,12 @@ TEST(InferenceServer, PerRequestNoiseIsApplied)
     core::NoiseCollection coll = fx.collection(1);
     const Tensor a = fx.sample_activation();
 
+    ReplayPolicy replay(coll, kSeed);
     InferenceServerConfig noisy_cfg;
     noisy_cfg.max_batch = 1;
-    InferenceServer noisy(fx.model, &coll, noisy_cfg);
-    InferenceServerConfig clean_cfg;
-    clean_cfg.apply_noise = false;
-    InferenceServer clean(fx.model, nullptr, clean_cfg);
+    InferenceServer noisy(fx.model, replay, noisy_cfg);
+    NoNoisePolicy no_noise;
+    InferenceServer clean(fx.model, no_noise);
 
     const Tensor with_noise = noisy.infer(a);
     const Tensor without = clean.infer(a);
@@ -181,10 +188,11 @@ TEST(InferenceServer, ConcurrentSubmitIsSafe)
 {
     Fixture fx;
     core::NoiseCollection coll = fx.collection(3);
+    ReplayPolicy policy(coll, kSeed);
     InferenceServerConfig cfg;
     cfg.max_batch = 8;
     cfg.batch_timeout_ms = 1.0;
-    InferenceServer server(fx.model, &coll, cfg);
+    InferenceServer server(fx.model, policy, cfg);
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 6;
@@ -230,13 +238,14 @@ TEST(InferenceServer, ConcurrentStressBitExactVsSerial)
     // forwards corrupted each other's state.
     Fixture fx;
     core::NoiseCollection coll = fx.collection(3);
+    const std::uint64_t seed = 0xFEEDFACEULL;
+    ReplayPolicy policy(coll, seed);
     InferenceServerConfig cfg;
     cfg.max_batch = 1;
     cfg.batch_timeout_ms = 0.0;
     cfg.num_workers = 4;
     cfg.max_concurrent_batches = 4;
-    cfg.seed = 0xFEEDFACEULL;
-    InferenceServer server(fx.model, &coll, cfg);
+    InferenceServer server(fx.model, policy, cfg);
     EXPECT_EQ(server.max_concurrent_batches(), 4);
 
     constexpr int kThreads = 4;
@@ -280,7 +289,7 @@ TEST(InferenceServer, ConcurrentStressBitExactVsSerial)
                 static_cast<std::uint64_t>(t * kPerThread + i);
             // Reproduce the server's draw offline via the pure seed
             // function, then the serial forward.
-            Rng draw_rng(InferenceServer::noise_seed(cfg.seed, id));
+            Rng draw_rng(runtime::noise_seed(seed, id));
             const Tensor& noise = coll.draw(draw_rng).noise;
             const Tensor expected = fx.direct_forward(
                 ops::add(acts[static_cast<std::size_t>(t)]
@@ -303,13 +312,14 @@ TEST(InferenceServer, ConcurrentBatchedAgreesWithSerial)
     // tolerance; state corruption would blow far past it.
     Fixture fx;
     core::NoiseCollection coll = fx.collection(2);
+    const std::uint64_t seed = 0xABCDEFULL;
+    ReplayPolicy policy(coll, seed);
     InferenceServerConfig cfg;
     cfg.max_batch = 8;
     cfg.batch_timeout_ms = 1.0;
     cfg.num_workers = 2;
     cfg.max_concurrent_batches = 2;
-    cfg.seed = 0xABCDEFULL;
-    InferenceServer server(fx.model, &coll, cfg);
+    InferenceServer server(fx.model, policy, cfg);
 
     constexpr int kRequests = 200;
     std::vector<Tensor> acts;
@@ -336,8 +346,8 @@ TEST(InferenceServer, ConcurrentBatchedAgreesWithSerial)
         int i = t;
         for (auto& f : per_client[static_cast<std::size_t>(t)]) {
             const Tensor got = f.get();
-            Rng draw_rng(InferenceServer::noise_seed(
-                cfg.seed, static_cast<std::uint64_t>(i)));
+            Rng draw_rng(runtime::noise_seed(
+                seed, static_cast<std::uint64_t>(i)));
             const Tensor& noise = coll.draw(draw_rng).noise;
             const Tensor expected = fx.direct_forward(
                 ops::add(acts[static_cast<std::size_t>(i)], noise),
@@ -367,8 +377,8 @@ TEST(InferenceServer, ReplaySeedReproducesNoiseAssignment)
         cfg.max_batch = 1;  // identical kernel paths across runs
         cfg.batch_timeout_ms = 0.0;
         cfg.num_workers = 2;
-        cfg.seed = seed;
-        InferenceServer server(fx.model, &coll, cfg);
+        ReplayPolicy policy(coll, seed);
+        InferenceServer server(fx.model, policy, cfg);
         std::vector<std::future<Tensor>> futures;
         for (const Tensor& a : acts) {
             futures.push_back(server.submit(a));  // auto ids 0, 1, 2, …
@@ -400,7 +410,7 @@ TEST(InferenceServer, ReplaySeedReproducesNoiseAssignment)
     // the n-th auto-submitted request draws under kAutoIdBase + n.
     nn::ExecutionContext ctx;
     for (std::size_t i = 0; i < acts.size(); ++i) {
-        Rng draw_rng(InferenceServer::noise_seed(
+        Rng draw_rng(runtime::noise_seed(
             0xD06F00DULL,
             InferenceServer::kAutoIdBase + static_cast<std::uint64_t>(i)));
         const Tensor expected = fx.direct_forward(
@@ -417,12 +427,12 @@ TEST(InferenceServer, SharedModelAcrossServersIsSafe)
     // per-server model mutex could not protect (its scope was one
     // server). Stateless layers make it safe by construction.
     Fixture fx;
+    NoNoisePolicy policy;
     InferenceServerConfig cfg;
-    cfg.apply_noise = false;
     cfg.max_batch = 2;
     cfg.num_workers = 2;
-    InferenceServer server_a(fx.model, nullptr, cfg);
-    InferenceServer server_b(fx.model, nullptr, cfg);
+    InferenceServer server_a(fx.model, policy, cfg);
+    InferenceServer server_b(fx.model, policy, cfg);
 
     std::vector<Tensor> acts;
     for (int i = 0; i < 32; ++i) {
@@ -452,9 +462,8 @@ TEST(InferenceServer, SharedModelAcrossServersIsSafe)
 TEST(InferenceServer, ShutdownWithEmptyQueueIsClean)
 {
     Fixture fx;
-    InferenceServerConfig cfg;
-    cfg.apply_noise = false;
-    InferenceServer server(fx.model, nullptr, cfg);
+    NoNoisePolicy policy;
+    InferenceServer server(fx.model, policy);
     EXPECT_TRUE(server.running());
     server.shutdown();
     EXPECT_FALSE(server.running());
@@ -467,11 +476,11 @@ TEST(InferenceServer, ShutdownWithEmptyQueueIsClean)
 TEST(InferenceServer, ShutdownDrainsQueuedRequests)
 {
     Fixture fx;
+    NoNoisePolicy policy;
     InferenceServerConfig cfg;
-    cfg.apply_noise = false;
     cfg.max_batch = 4;
     cfg.batch_timeout_ms = 50.0;  // requests are queued at shutdown
-    InferenceServer server(fx.model, nullptr, cfg);
+    InferenceServer server(fx.model, policy, cfg);
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < 6; ++i) {
         futures.push_back(server.submit(fx.sample_activation()));
@@ -489,9 +498,10 @@ TEST(InferenceServer, WrongSizeSubmitFailsOnlyThatFuture)
 {
     Fixture fx;
     core::NoiseCollection coll = fx.collection(1);
+    ReplayPolicy policy(coll, kSeed);
     InferenceServerConfig cfg;
     cfg.max_batch = 1;
-    InferenceServer server(fx.model, &coll, cfg);
+    InferenceServer server(fx.model, policy, cfg);
 
     auto bad = server.submit(Tensor::zeros(Shape({3})));
     expect_code(bad, ServingErrorCode::kInvalidShape);
@@ -505,9 +515,8 @@ TEST(InferenceServer, Rank4FirstSubmitIsRejectedCleanly)
     // Without a collection the first request fixes the shape; a
     // rank-4 (already batched) tensor cannot grow a batch dim.
     Fixture fx;
-    InferenceServerConfig cfg;
-    cfg.apply_noise = false;
-    InferenceServer server(fx.model, nullptr, cfg);
+    NoNoisePolicy policy;
+    InferenceServer server(fx.model, policy);
     auto bad = server.submit(
         Tensor::zeros(Shape({1, fx.act_shape[1], fx.act_shape[2],
                              fx.act_shape[3]})));
@@ -523,32 +532,12 @@ TEST(InferenceServer, ConfiguredShapePinsTheContract)
     // request cannot smuggle in a bogus size (the lazy-adoption
     // footgun the config field exists to close).
     Fixture fx;
+    NoNoisePolicy policy;
     InferenceServerConfig cfg;
-    cfg.apply_noise = false;
     cfg.sample_shape =
         Shape({fx.act_shape[1], fx.act_shape[2], fx.act_shape[3]});
-    InferenceServer server(fx.model, nullptr, cfg);
+    InferenceServer server(fx.model, policy, cfg);
     auto bad = server.submit(Tensor::zeros(Shape({7})));
-    expect_code(bad, ServingErrorCode::kInvalidShape);
-    const Tensor logits = server.infer(fx.sample_activation());
-    EXPECT_EQ(logits.size(), 10);
-}
-
-TEST(InferenceServer, ShimWithoutNoiseStillPinsShapeFromCollection)
-{
-    // The deprecated (collection, apply_noise=false) shim must keep
-    // the legacy behavior of adopting the collection's noise shape as
-    // the server's contract even though no noise is applied — a
-    // malformed first request must not be able to lock in a bogus
-    // contract.
-    Fixture fx;
-    core::NoiseCollection coll = fx.collection(1);
-    InferenceServerConfig cfg;
-    cfg.apply_noise = false;
-    InferenceServer server(fx.model, &coll, cfg);
-    EXPECT_EQ(server.sample_shape().to_string(),
-              coll.noise_shape().to_string());
-    auto bad = server.submit(Tensor::zeros(Shape({5})));
     expect_code(bad, ServingErrorCode::kInvalidShape);
     const Tensor logits = server.infer(fx.sample_activation());
     EXPECT_EQ(logits.size(), 10);
@@ -563,9 +552,10 @@ TEST(InferenceServerDeath, Rank4CollectionRejectedAtConstruction)
     sample.noise = Tensor::zeros(Shape(
         {1, fx.act_shape[1], fx.act_shape[2], fx.act_shape[3]}));
     coll.add(std::move(sample));
+    ReplayPolicy policy(coll, kSeed);
     EXPECT_EXIT(
         {
-            InferenceServer server(fx.model, &coll, {});
+            InferenceServer server(fx.model, policy, {});
         },
         ::testing::ExitedWithCode(1), "rank 1-3");
 }
@@ -573,9 +563,8 @@ TEST(InferenceServerDeath, Rank4CollectionRejectedAtConstruction)
 TEST(InferenceServer, SubmitAfterShutdownFailsTheFuture)
 {
     Fixture fx;
-    InferenceServerConfig cfg;
-    cfg.apply_noise = false;
-    InferenceServer server(fx.model, nullptr, cfg);
+    NoNoisePolicy policy;
+    InferenceServer server(fx.model, policy);
     server.shutdown();
     auto future = server.submit(fx.sample_activation());
     // ServingError derives from std::runtime_error (old-style callers
@@ -592,10 +581,10 @@ TEST(InferenceServer, SubmitAfterShutdownFailsTheFuture)
 TEST(InferenceServer, StatsTrackLatencyAndThroughput)
 {
     Fixture fx;
+    NoNoisePolicy policy;
     InferenceServerConfig cfg;
-    cfg.apply_noise = false;
     cfg.max_batch = 2;
-    InferenceServer server(fx.model, nullptr, cfg);
+    InferenceServer server(fx.model, policy, cfg);
     for (int i = 0; i < 4; ++i) {
         server.infer(fx.sample_activation());
     }

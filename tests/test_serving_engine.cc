@@ -3,7 +3,7 @@
  * Tests for the multi-endpoint `ServingEngine`: several models under
  * several noise policies on one shared worker pool, typed
  * `ServingError` codes, per-endpoint and aggregate stats, and the
- * policy-equivalence guarantees (engine ↔ deprecated shim ↔ offline
+ * policy-equivalence guarantees (engine ↔ policy server ↔ offline
  * replay recipe).
  */
 #include <cstdint>
@@ -227,13 +227,12 @@ TEST(ServingEngine, SameModelUnderTwoPoliciesSharesWeights)
 // Policy equivalence (the API-redesign safety net)
 // ---------------------------------------------------------------------
 
-TEST(ServingEngine, ReplayPolicyBitExactWithDeprecatedShim)
+TEST(ServingEngine, ReplayPolicyBitExactAcrossServerEngineAndOffline)
 {
-    // Three servings of the same requests must agree BIT-EXACTLY:
-    //  1. the deprecated (collection, apply_noise) shim,
-    //  2. an InferenceServer built on ReplayPolicy directly,
-    //  3. a ServingEngine endpoint with the same policy,
-    // and all three must equal the offline draw recipe.
+    // Two servings of the same requests must agree BIT-EXACTLY:
+    //  1. an InferenceServer built on ReplayPolicy directly,
+    //  2. a ServingEngine endpoint with the same policy,
+    // and both must equal the offline draw recipe.
     Fixture fx;
     const core::NoiseCollection coll = fx.collection(3);
     const std::uint64_t seed = 0xFEEDULL;
@@ -259,19 +258,6 @@ TEST(ServingEngine, ReplayPolicyBitExactWithDeprecatedShim)
         }
         return out;
     };
-
-    std::vector<Tensor> shim_logits;
-    {
-        InferenceServerConfig cfg;
-        cfg.max_batch = 1;
-        cfg.batch_timeout_ms = 0.0;
-        cfg.apply_noise = true;
-        cfg.seed = seed;
-        InferenceServer shim(fx.model_a, &coll, cfg);
-        shim_logits = collect([&](const Tensor& a, std::uint64_t id) {
-            return shim.submit(a, id);
-        });
-    }
 
     std::vector<Tensor> policy_logits;
     ReplayPolicy policy(coll, seed);
@@ -309,16 +295,14 @@ TEST(ServingEngine, ReplayPolicyBitExactWithDeprecatedShim)
             ops::add(acts[static_cast<std::size_t>(i)],
                      coll.draw(draw_rng).noise),
             ctx);
-        const Tensor& shim_out = shim_logits[static_cast<std::size_t>(i)];
+        const Tensor& policy_out =
+            policy_logits[static_cast<std::size_t>(i)];
         testing::expect_tensors_near(
-            shim_out, offline.reshaped(shim_out.shape()), 0.0,
-            "shim vs offline replay");
+            policy_out, offline.reshaped(policy_out.shape()), 0.0,
+            "policy server vs offline replay");
         testing::expect_tensors_near(
-            policy_logits[static_cast<std::size_t>(i)], shim_out, 0.0,
-            "policy server vs shim");
-        testing::expect_tensors_near(
-            engine_logits[static_cast<std::size_t>(i)], shim_out, 0.0,
-            "engine endpoint vs shim");
+            engine_logits[static_cast<std::size_t>(i)], policy_out, 0.0,
+            "engine endpoint vs policy server");
     }
 }
 
