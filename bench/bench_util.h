@@ -173,6 +173,50 @@ now_iso8601()
     return buf;
 }
 
+/** The CPU's model name from /proc/cpuinfo, or "unknown". */
+inline std::string
+cpu_model()
+{
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            const std::size_t start =
+                colon == std::string::npos
+                    ? std::string::npos
+                    : line.find_first_not_of(' ', colon + 1);
+            if (start != std::string::npos) {
+                return line.substr(start);
+            }
+        }
+    }
+    return "unknown";
+}
+
+/**
+ * `git describe --always --dirty` of the working directory's checkout,
+ * or "unknown" outside one: names the source a run measured.
+ */
+inline std::string
+git_describe()
+{
+    std::string out;
+    FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
+    if (pipe != nullptr) {
+        char buf[128];
+        while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+            out += buf;
+        }
+        pclose(pipe);
+    }
+    while (!out.empty() &&
+           std::isspace(static_cast<unsigned char>(out.back())) != 0) {
+        out.pop_back();
+    }
+    return out.empty() ? "unknown" : out;
+}
+
 /**
  * Latency sample set with percentile extraction, for the open-loop
  * load benches. Samples accumulate in milliseconds; `percentile_ms`

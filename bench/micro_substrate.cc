@@ -4,19 +4,25 @@
  *
  * Measures the compute substrate every other binary bottlenecks on —
  * GEMM across sizes that cross the cache hierarchy, all four transpose
- * combinations, conv forward/backward, end-to-end LeNet inference and
- * the batched `InferenceServer` — and writes `BENCH_substrate.json`
+ * combinations, conv forward/backward, the served SVHN cloud convs and
+ * Laplace draw, end-to-end LeNet inference and the batched
+ * `InferenceServer` — and writes `BENCH_substrate.json`
  * (path = argv[1], default `BENCH_substrate.json`) so the perf
  * trajectory accumulates across PRs. A frozen copy of the seed's
- * k-blocked kernel runs alongside the packed kernel, so every report
- * carries its own baseline: `speedup` is measured, not remembered.
+ * k-blocked kernel runs alongside the packed kernel, and a frozen copy
+ * of the per-element std::mt19937_64 draw alongside the bulk draw, so
+ * every report carries its own baseline: `speedup` is measured, not
+ * remembered.
  *
  * Honors SHREDDER_BENCH_FAST=1 (smaller sweep, shorter timing windows)
  * for CI smoke runs. See docs/PERFORMANCE.md for how to read the JSON.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <future>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +168,209 @@ measure_conv()
         2.0 * static_cast<double>(x.shape()[0]) * conv.macs(x.shape());
     out.fwd_gflops = gflops(fwd_flops, out.fwd_ms * 1e-3);
     return out;
+}
+
+/**
+ * Median seconds per call over several `time_loop` windows: one window
+ * that lost the CPU to a neighbour cannot move it.
+ */
+template <typename F>
+double
+median_seconds(F&& fn)
+{
+    std::vector<double> windows;
+    for (int w = 0; w < 7; ++w) {
+        windows.push_back(bench::time_loop(fn, bench::measure_seconds() / 2));
+    }
+    std::nth_element(windows.begin(), windows.begin() + 3, windows.end());
+    return windows[3];
+}
+
+struct ConvPoint
+{
+    std::int64_t in_channels = 0;
+    double fwd_us = 0.0;
+    double gflops = 0.0;
+};
+
+/**
+ * Batch-1 forward of the two SVHN cloud convs after the Conv3 cut:
+ * [1,48,8,8]→64 and [1,64,8,8]→64, 3×3, pad 1, in a forward-only
+ * context as the server runs them.
+ */
+std::vector<ConvPoint>
+measure_svhn_cloud_convs()
+{
+    Rng rng(3);
+    std::vector<ConvPoint> points;
+    for (const std::int64_t cin : {48, 64}) {
+        nn::Conv2dConfig cfg;
+        cfg.in_channels = cin;
+        cfg.out_channels = 64;
+        cfg.kernel = 3;
+        cfg.padding = 1;
+        nn::Conv2d conv(cfg, rng);
+        Tensor x = Tensor::normal(Shape({1, cin, 8, 8}), rng);
+        nn::ExecutionContext ctx;
+        ctx.set_retain_activations(false);
+        ConvPoint p;
+        p.in_channels = cin;
+        p.fwd_us = median_seconds([&] {
+                       Tensor y = conv.forward(x, ctx, nn::Mode::kEval);
+                   }) *
+                   1e6;
+        p.gflops = gflops(2.0 * static_cast<double>(conv.macs(x.shape())),
+                          p.fwd_us * 1e-6);
+        points.push_back(p);
+    }
+    return points;
+}
+
+// ---------------------------------------------------------------------------
+// Frozen draw loop (the per-element draw before the in-tree engine): one
+// std::mt19937_64 word per element through the standard's
+// uniform_real_distribution, then the Laplace inverse CDF, into a
+// temporary that is then added into the row — SamplePolicy::apply_into
+// as it was. Kept verbatim as the draw's baseline; do not "fix".
+// ---------------------------------------------------------------------------
+
+void
+frozen_laplace_apply(const core::NoiseDistribution& dist, std::uint64_t seed,
+                     float* dst)
+{
+    // shredder-lint: allow(raw-rng) — the frozen baseline's own engine
+    std::mt19937_64 engine(seed);
+    Tensor noise(dist.location().shape());
+    float* po = noise.data();
+    const float* ploc = dist.location().data();
+    const float* pscale = dist.scale().data();
+    for (std::int64_t i = 0; i < noise.size(); ++i) {
+        const float scale = std::max(1e-9f, pscale[i]);
+        std::uniform_real_distribution<double> uniform(-0.5, 0.5);
+        const double u = uniform(engine);
+        const double mag = std::max(1e-300, 1.0 - 2.0 * std::abs(u));
+        const double sign = (u >= 0.0) ? 1.0 : -1.0;
+        po[i] = static_cast<float>(ploc[i] - scale * sign * std::log(mag));
+    }
+    for (std::int64_t i = 0; i < noise.size(); ++i) {
+        dst[i] += po[i];
+    }
+}
+
+/**
+ * The bulk draw's own loop with the standard engine in place of the
+ * in-tree one: std::mt19937_64 words through the shared conversion
+ * (`rng_detail::centered_uniform`), then the same two-pass inverse CDF
+ * in 256-element chunks. What the in-tree engine must beat to pay for
+ * its code.
+ */
+void
+std_engine_laplace_apply(const core::NoiseDistribution& dist,
+                         std::uint64_t seed, float* dst)
+{
+    // shredder-lint: allow(raw-rng) — the engine the in-tree one replaces
+    std::mt19937_64 engine(seed);
+    const float* ploc = dist.location().data();
+    const float* pscale = dist.scale().data();
+    const std::int64_t n = dist.location().size();
+    constexpr std::int64_t kChunk = 256;
+    double arg[kChunk];
+    double sign[kChunk];
+    for (std::int64_t i0 = 0; i0 < n; i0 += kChunk) {
+        const std::int64_t take = std::min(kChunk, n - i0);
+        for (std::int64_t j = 0; j < take; ++j) {
+            arg[j] = rng_detail::centered_uniform(engine());
+        }
+        for (std::int64_t j = 0; j < take; ++j) {
+            sign[j] = (arg[j] >= 0.0) ? 1.0 : -1.0;
+            arg[j] = std::max(1e-300, 1.0 - 2.0 * std::abs(arg[j]));
+        }
+        for (std::int64_t j = 0; j < take; ++j) {
+            const std::int64_t i = i0 + j;
+            const float scale = std::max(1e-9f, pscale[i]);
+            dst[i] += static_cast<float>(ploc[i] -
+                                         scale * sign[j] * std::log(arg[j]));
+        }
+    }
+}
+
+struct DrawPoint
+{
+    std::int64_t numel = 0;
+    double draw_us = 0.0;
+    double std_engine_us = 0.0;
+    double frozen_us = 0.0;
+    bool bit_identical = false;
+};
+
+/**
+ * One request's Laplace draw at the served SVHN cut (48×16×16 = 12,288
+ * elements): seed an Rng and add a fresh sample into a row, as
+ * SamplePolicy::apply_into does, against the same loop over the
+ * standard engine and the frozen per-element loop. All three must agree
+ * bit for bit.
+ */
+DrawPoint
+measure_laplace_draw()
+{
+    const Shape shape({48, 16, 16});
+    Rng rng(2024);
+    core::NoiseCollection collection;
+    for (int s = 0; s < 4; ++s) {
+        core::NoiseSample sample;
+        sample.noise = Tensor::laplace(shape, rng, 0.0f, 1.0f);
+        collection.add(std::move(sample));
+    }
+    const core::NoiseDistribution dist =
+        core::NoiseDistribution::fit(collection);
+    Tensor row = Tensor::normal(shape, rng);
+
+    DrawPoint p;
+    p.numel = shape.numel();
+    Tensor bulk = row;
+    Tensor std_engine = row;
+    Tensor frozen = row;
+    Rng check_rng(77);
+    dist.add_sample(check_rng, bulk.data());
+    std_engine_laplace_apply(dist, 77, std_engine.data());
+    frozen_laplace_apply(dist, 77, frozen.data());
+    const std::size_t bytes =
+        sizeof(float) * static_cast<std::size_t>(bulk.size());
+    p.bit_identical =
+        std::memcmp(bulk.data(), frozen.data(), bytes) == 0 &&
+        std::memcmp(std_engine.data(), frozen.data(), bytes) == 0;
+
+    std::uint64_t seed = 0;
+    p.draw_us = median_seconds([&] {
+                    Rng draw_rng(++seed);
+                    dist.add_sample(draw_rng, row.data());
+                }) *
+                1e6;
+    p.std_engine_us = median_seconds([&] {
+                          std_engine_laplace_apply(dist, ++seed, row.data());
+                      }) *
+                      1e6;
+    p.frozen_us = median_seconds([&] {
+                      frozen_laplace_apply(dist, ++seed, row.data());
+                  }) *
+                  1e6;
+    return p;
+}
+
+/** CPU model, hardware threads and source revision of this run. */
+void
+write_stamp(bench::JsonWriter& json)
+{
+    json.key("stamp");
+    json.begin_object();
+    json.key("cpu_model");
+    json.value(bench::cpu_model());
+    json.key("hw_threads");
+    json.value(static_cast<std::int64_t>(
+        std::max(1u, std::thread::hardware_concurrency())));
+    json.key("git");
+    json.value(bench::git_describe());
+    json.end_object();
 }
 
 /** Single-image LeNet forward latency in milliseconds. */
@@ -340,6 +549,55 @@ main(int argc, char** argv)
     json.value(conv.fwd_gflops);
     json.key("bwd_ms");
     json.value(conv.bwd_ms);
+    json.end_object();
+
+    // --- SVHN cloud convs and the served Laplace draw ---
+    std::printf("\nSVHN cloud convs (batch 1, 3×3 pad 1, median of 7):\n");
+    json.key("svhn_cloud_conv");
+    json.begin_object();
+    write_stamp(json);
+    json.key("points");
+    json.begin_array();
+    for (const ConvPoint& p : measure_svhn_cloud_convs()) {
+        std::printf("  [1,%lld,8,8]→64: %.1f us (%.2f GF/s)\n",
+                    static_cast<long long>(p.in_channels), p.fwd_us,
+                    p.gflops);
+        json.begin_object();
+        json.key("input");
+        json.value("[1," + std::to_string(p.in_channels) + ",8,8]");
+        json.key("out_channels");
+        json.value(64);
+        json.key("fwd_us");
+        json.value(p.fwd_us);
+        json.key("gflops");
+        json.value(p.gflops);
+        json.end_object();
+    }
+    json.end_array();
+    json.end_object();
+
+    const DrawPoint draw = measure_laplace_draw();
+    std::printf("Laplace draw, %lld elements: %.1f us vs standard engine "
+                "%.1f us vs frozen %.1f us (%.2fx), bit-identical: %s\n",
+                static_cast<long long>(draw.numel), draw.draw_us,
+                draw.std_engine_us, draw.frozen_us,
+                draw.frozen_us / draw.draw_us,
+                draw.bit_identical ? "yes" : "NO");
+    json.key("laplace_draw");
+    json.begin_object();
+    write_stamp(json);
+    json.key("numel");
+    json.value(draw.numel);
+    json.key("draw_us");
+    json.value(draw.draw_us);
+    json.key("std_engine_us");
+    json.value(draw.std_engine_us);
+    json.key("frozen_us");
+    json.value(draw.frozen_us);
+    json.key("speedup");
+    json.value(draw.frozen_us / draw.draw_us);
+    json.key("bit_identical");
+    json.value(draw.bit_identical);
     json.end_object();
 
     // --- End-to-end model latency ---

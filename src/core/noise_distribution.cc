@@ -17,6 +17,23 @@ namespace {
 
 constexpr std::uint32_t kDistMagic = 0x54534453;  // 'SDST'
 
+/** The per-element draw into `dst`, added when `accumulate`, else stored. */
+void
+draw(const NoiseDistribution& dist, Rng& rng, float* dst, bool accumulate)
+{
+    const float* ploc = dist.location().data();
+    const float* pscale = dist.scale().data();
+    const std::int64_t n = dist.location().size();
+    if (dist.family() == NoiseFamily::kLaplace) {
+        rng.laplace_into(ploc, pscale, 1e-9f, n, dst, accumulate);
+        return;
+    }
+    for (std::int64_t i = 0; i < n; ++i) {
+        const float v = rng.normal(ploc[i], pscale[i]);
+        dst[i] = accumulate ? dst[i] + v : v;
+    }
+}
+
 }  // namespace
 
 NoiseDistribution::NoiseDistribution(NoiseFamily family, Tensor location,
@@ -75,17 +92,14 @@ Tensor
 NoiseDistribution::sample(Rng& rng) const
 {
     Tensor out(location_.shape());
-    float* po = out.data();
-    const float* ploc = location_.data();
-    const float* pscale = scale_.data();
-    for (std::int64_t i = 0; i < out.size(); ++i) {
-        if (family_ == NoiseFamily::kLaplace) {
-            po[i] = rng.laplace(ploc[i], std::max(1e-9f, pscale[i]));
-        } else {
-            po[i] = rng.normal(ploc[i], pscale[i]);
-        }
-    }
+    draw(*this, rng, out.data(), false);
     return out;
+}
+
+void
+NoiseDistribution::add_sample(Rng& rng, float* dst) const
+{
+    draw(*this, rng, dst, true);
 }
 
 double

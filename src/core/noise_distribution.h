@@ -55,6 +55,13 @@ class NoiseDistribution
     /** Draw one fresh noise tensor. */
     Tensor sample(Rng& rng) const;
 
+    /**
+     * Draw one fresh noise tensor straight into `dst`, adding element i
+     * to `dst[i]` — the values `sample` would return for the same `rng`
+     * state, with no temporary. `dst` holds `location().size()` floats.
+     */
+    void add_sample(Rng& rng, float* dst) const;
+
     /** Per-element location parameters. */
     const Tensor& location() const { return location_; }
 

@@ -64,43 +64,45 @@ MaxPool2d::forward(const Tensor& x, ExecutionContext& ctx,
         state.in_shape = x.shape();
     }
 
+    const std::int64_t k = config_.kernel;
     const float* xp = x.data();
     float* yp = y.data();
     std::int64_t out_idx = 0;
     for (std::int64_t n = 0; n < batch; ++n) {
         for (std::int64_t c = 0; c < chans; ++c) {
-            const float* plane = xp + (n * chans + c) * ih * iw;
             const std::int64_t plane_base = (n * chans + c) * ih * iw;
+            const float* plane = xp + plane_base;
             for (std::int64_t i = 0; i < oh; ++i) {
+                const std::int64_t r0 = i * config_.stride - config_.padding;
+                const std::int64_t r_begin = std::max<std::int64_t>(0, r0);
+                const std::int64_t r_end = std::min(ih, r0 + k);
                 for (std::int64_t j = 0; j < ow; ++j, ++out_idx) {
+                    const std::int64_t c0 =
+                        j * config_.stride - config_.padding;
+                    const std::int64_t c_begin =
+                        std::max<std::int64_t>(0, c0);
+                    const std::int64_t c_end = std::min(iw, c0 + k);
+                    SHREDDER_CHECK(r_begin < r_end && c_begin < c_end,
+                                   "empty max-pool window");
+                    // The first element strictly above −inf, scanning
+                    // in row order, wins. A window of only NaN and −inf
+                    // has none, and answers with its first element.
                     float best = -std::numeric_limits<float>::infinity();
-                    std::int64_t best_idx = -1;
-                    for (std::int64_t ki = 0; ki < config_.kernel; ++ki) {
-                        const std::int64_t r =
-                            i * config_.stride - config_.padding + ki;
-                        if (r < 0 || r >= ih) {
-                            continue;
-                        }
-                        for (std::int64_t kj = 0; kj < config_.kernel;
-                             ++kj) {
-                            const std::int64_t col =
-                                j * config_.stride - config_.padding + kj;
-                            if (col < 0 || col >= iw) {
-                                continue;
-                            }
+                    std::int64_t best_at = r_begin * iw + c_begin;
+                    for (std::int64_t r = r_begin; r < r_end; ++r) {
+                        for (std::int64_t col = c_begin; col < c_end;
+                             ++col) {
                             const float v = plane[r * iw + col];
                             if (v > best) {
                                 best = v;
-                                best_idx = plane_base + r * iw + col;
+                                best_at = r * iw + col;
                             }
                         }
                     }
-                    SHREDDER_CHECK(best_idx >= 0,
-                                   "empty max-pool window");
-                    yp[out_idx] = best;
+                    yp[out_idx] = plane[best_at];
                     if (retain) {
                         argmax[static_cast<std::size_t>(out_idx)] =
-                            best_idx;
+                            plane_base + best_at;
                     }
                 }
             }

@@ -150,15 +150,13 @@ void
 SamplePolicy::apply_into(const Tensor& activation,
                          std::uint64_t request_id, float* dst) const
 {
-    // Fresh per-element draw; the per-id RNG keeps it deterministic
-    // under replay yet independent across distinct request ids.
+    // Fresh per-element draw, added straight into the row; the per-id
+    // RNG keeps it deterministic under replay yet independent across
+    // distinct request ids.
+    require_matching_size(activation, dist_.location().size(),
+                          "SamplePolicy");
     Rng draw_rng(noise_seed(seed_, request_id));
-    const Tensor noise = dist_.sample(draw_rng);
-    require_matching_size(activation, noise.size(), "SamplePolicy");
-    const float* pn = noise.data();
-    for (std::int64_t j = 0; j < noise.size(); ++j) {
-        dst[j] += pn[j];
-    }
+    dist_.add_sample(draw_rng, dst);
 }
 
 // ---------------------------------------------------------------------

@@ -20,9 +20,9 @@
  *
  * Two micro-kernels are compiled and picked once at runtime: a 6×8
  * tile for the portable SSE2 baseline (12 XMM accumulators) and a
- * 6×16 tile compiled with `target("avx2,fma")` (12 YMM accumulators,
- * FMA) chosen when the CPU supports it — so the default build, with
- * no -march flags, still runs wide on modern x86. See
+ * 6×16 tile written in AVX2+FMA intrinsics (12 YMM accumulators)
+ * chosen when the CPU supports it — so the default build, with no
+ * -march flags, still runs wide on modern x86. See
  * docs/PERFORMANCE.md for the derivation and measured numbers.
  */
 #include "src/tensor/gemm.h"
@@ -143,40 +143,46 @@ pack_a(std::int64_t mc, std::int64_t kc, const float* a, std::int64_t rs,
     }
 }
 
+using MicroKernelFn = void (*)(std::int64_t kc, const float* ap,
+                               const float* bp, float alpha, float* c,
+                               std::int64_t ldc, std::int64_t mr,
+                               std::int64_t nr);
+
 /**
- * The register tile: C[0..mr)×[0..nr) += alpha · Σ_p ap[p]·bp[p].
- * `ap`/`bp` are zero-padded micro-panels, so the accumulation always
- * runs the full kMr×NR shape and only the write-back honors mr/nr.
+ * Portable baseline, the 6×8 tile (12 XMM accumulators under plain
+ * -O3): C[0..mr)×[0..nr) += alpha · Σ_p ap[p]·bp[p]. `ap`/`bp` are
+ * zero-padded micro-panels, so the accumulation always runs the full
+ * kMr×kNrSse shape and only the write-back honors mr/nr.
  *
  * The unroll pragmas matter: full unrolling of the i/j loops lets
  * GCC's scalar-replacement pass promote `acc` to vector registers —
  * without it the tile round-trips through the stack every iteration
  * and the kernel runs ~3× slower than the seed loop.
  */
-template <int NR>
-__attribute__((always_inline)) inline void
-micro_tile(std::int64_t kc, const float* __restrict__ ap,
-           const float* __restrict__ bp, float alpha, float* __restrict__ c,
-           std::int64_t ldc, std::int64_t mr, std::int64_t nr)
+void
+micro_kernel_sse(std::int64_t kc, const float* __restrict__ ap,
+                 const float* __restrict__ bp, float alpha,
+                 float* __restrict__ c, std::int64_t ldc, std::int64_t mr,
+                 std::int64_t nr)
 {
-    float acc[kMr][NR] = {};
+    float acc[kMr][kNrSse] = {};
     for (std::int64_t p = 0; p < kc; ++p) {
         const float* __restrict__ av = ap + p * kMr;
-        const float* __restrict__ bv = bp + p * NR;
+        const float* __restrict__ bv = bp + p * kNrSse;
 #pragma GCC unroll 8
         for (int i = 0; i < kMr; ++i) {
             const float a = av[i];
-#pragma GCC unroll 16
-            for (int j = 0; j < NR; ++j) {
+#pragma GCC unroll 8
+            for (int j = 0; j < kNrSse; ++j) {
                 acc[i][j] += a * bv[j];
             }
         }
     }
-    if (mr == kMr && nr == NR) {
+    if (mr == kMr && nr == kNrSse) {
 #pragma GCC unroll 8
         for (int i = 0; i < kMr; ++i) {
-#pragma GCC unroll 16
-            for (int j = 0; j < NR; ++j) {
+#pragma GCC unroll 8
+            for (int j = 0; j < kNrSse; ++j) {
                 c[i * ldc + j] += alpha * acc[i][j];
             }
         }
@@ -189,32 +195,86 @@ micro_tile(std::int64_t kc, const float* __restrict__ ap,
     }
 }
 
-using MicroKernelFn = void (*)(std::int64_t kc, const float* ap,
-                               const float* bp, float alpha, float* c,
-                               std::int64_t ldc, std::int64_t mr,
-                               std::int64_t nr);
-
-/** Portable baseline: 6×8 tile, 12 XMM accumulators under plain -O3. */
-void
-micro_kernel_sse(std::int64_t kc, const float* ap, const float* bp,
-                 float alpha, float* c, std::int64_t ldc, std::int64_t mr,
-                 std::int64_t nr)
+#if defined(__x86_64__) || defined(__i386__)
+/** One full tile row: c[0..16) = fma(alpha, acc, c). */
+__attribute__((target("avx2,fma"), always_inline)) inline void
+write_row(float* c, __m256 alpha, __m256 lo, __m256 hi)
 {
-    micro_tile<kNrSse>(kc, ap, bp, alpha, c, ldc, mr, nr);
+    _mm256_storeu_ps(c, _mm256_fmadd_ps(alpha, lo, _mm256_loadu_ps(c)));
+    _mm256_storeu_ps(c + 8,
+                     _mm256_fmadd_ps(alpha, hi, _mm256_loadu_ps(c + 8)));
 }
 
-#if defined(__x86_64__) || defined(__i386__)
 /**
- * 6×16 tile compiled for AVX2+FMA (12 YMM accumulators, fused
- * multiply-add). Selected at runtime so the default portable build
- * still exploits modern x86 without -march flags.
+ * 6×16 tile in AVX2+FMA intrinsics, selected at runtime so the default
+ * portable build still exploits modern x86 without -march flags.
+ * Twelve YMM accumulators (two per row) stay in registers; each k step
+ * is two B loads, six A broadcasts and twelve FMAs. Per element that
+ * is acc = fma(a, b, acc) from zero in k order, then
+ * c = fma(alpha, acc, c) — vector FMAs for a full tile, `std::fma` for
+ * an edge tile — which tests/test_gemm.cc pins bit for bit.
  */
 __attribute__((target("avx2,fma"))) void
 micro_kernel_avx2(std::int64_t kc, const float* ap, const float* bp,
                   float alpha, float* c, std::int64_t ldc, std::int64_t mr,
                   std::int64_t nr)
 {
-    micro_tile<kNrAvx>(kc, ap, bp, alpha, c, ldc, mr, nr);
+    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+    __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+    __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+    __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
+    __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+    for (std::int64_t p = 0; p < kc; ++p, ap += kMr, bp += kNrAvx) {
+        const __m256 b0 = _mm256_loadu_ps(bp);
+        const __m256 b1 = _mm256_loadu_ps(bp + 8);
+        __m256 a = _mm256_broadcast_ss(ap);
+        c00 = _mm256_fmadd_ps(a, b0, c00);
+        c01 = _mm256_fmadd_ps(a, b1, c01);
+        a = _mm256_broadcast_ss(ap + 1);
+        c10 = _mm256_fmadd_ps(a, b0, c10);
+        c11 = _mm256_fmadd_ps(a, b1, c11);
+        a = _mm256_broadcast_ss(ap + 2);
+        c20 = _mm256_fmadd_ps(a, b0, c20);
+        c21 = _mm256_fmadd_ps(a, b1, c21);
+        a = _mm256_broadcast_ss(ap + 3);
+        c30 = _mm256_fmadd_ps(a, b0, c30);
+        c31 = _mm256_fmadd_ps(a, b1, c31);
+        a = _mm256_broadcast_ss(ap + 4);
+        c40 = _mm256_fmadd_ps(a, b0, c40);
+        c41 = _mm256_fmadd_ps(a, b1, c41);
+        a = _mm256_broadcast_ss(ap + 5);
+        c50 = _mm256_fmadd_ps(a, b0, c50);
+        c51 = _mm256_fmadd_ps(a, b1, c51);
+    }
+    if (mr == kMr && nr == kNrAvx) {
+        const __m256 va = _mm256_set1_ps(alpha);
+        write_row(c, va, c00, c01);
+        write_row(c + ldc, va, c10, c11);
+        write_row(c + 2 * ldc, va, c20, c21);
+        write_row(c + 3 * ldc, va, c30, c31);
+        write_row(c + 4 * ldc, va, c40, c41);
+        write_row(c + 5 * ldc, va, c50, c51);
+        return;
+    }
+    alignas(32) float acc[kMr][kNrAvx];
+    _mm256_store_ps(acc[0], c00);
+    _mm256_store_ps(acc[0] + 8, c01);
+    _mm256_store_ps(acc[1], c10);
+    _mm256_store_ps(acc[1] + 8, c11);
+    _mm256_store_ps(acc[2], c20);
+    _mm256_store_ps(acc[2] + 8, c21);
+    _mm256_store_ps(acc[3], c30);
+    _mm256_store_ps(acc[3] + 8, c31);
+    _mm256_store_ps(acc[4], c40);
+    _mm256_store_ps(acc[4] + 8, c41);
+    _mm256_store_ps(acc[5], c50);
+    _mm256_store_ps(acc[5] + 8, c51);
+    for (std::int64_t i = 0; i < mr; ++i) {
+        for (std::int64_t j = 0; j < nr; ++j) {
+            c[i * ldc + j] = std::fma(alpha, acc[i][j], c[i * ldc + j]);
+        }
+    }
 }
 #endif
 

@@ -1,4 +1,7 @@
 /** @file Unit + property tests for the GEMM kernel. */
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -107,19 +110,27 @@ TEST_P(GemmMatchesReference, RandomMatrices)
 // Sizes chosen to straddle the packed kernel's tile boundaries: the
 // MR=6 row tile (5..7), the NR=8/16 column tiles (15..17), the small-
 // problem fallback threshold, and odd primes that never divide evenly.
+// The FMA contract test below walks the same grids.
+const int kAllM[] = {1, 3, 17, 64};
+const int kAllN[] = {1, 5, 33};
+const int kAllK[] = {1, 8, 129};
+const int kTileM[] = {5, 6, 7, 97};
+const int kTileN[] = {15, 16, 17, 61};
+const int kTileK[] = {31, 43};
+
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, GemmMatchesReference,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(1, 3, 17, 64),
-                       ::testing::Values(1, 5, 33),
-                       ::testing::Values(1, 8, 129)));
+                       ::testing::ValuesIn(kAllM),
+                       ::testing::ValuesIn(kAllN),
+                       ::testing::ValuesIn(kAllK)));
 
 INSTANTIATE_TEST_SUITE_P(
     TileBoundaries, GemmMatchesReference,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(5, 6, 7, 97),
-                       ::testing::Values(15, 16, 17, 61),
-                       ::testing::Values(31, 43)));
+                       ::testing::ValuesIn(kTileM),
+                       ::testing::ValuesIn(kTileN),
+                       ::testing::ValuesIn(kTileK)));
 
 /**
  * Property check across alpha/beta edge cases (0, 1, negative,
@@ -157,11 +168,14 @@ TEST_P(GemmAlphaBeta, MatchesReference)
     }
 }
 
+const float kEdgeAlphas[] = {0.0f, 1.0f, -1.0f, 0.7f};
+const float kEdgeBetas[] = {0.0f, 1.0f, -2.0f, 0.3f};
+
 INSTANTIATE_TEST_SUITE_P(
     EdgeScales, GemmAlphaBeta,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(0.0f, 1.0f, -1.0f, 0.7f),
-                       ::testing::Values(0.0f, 1.0f, -2.0f, 0.3f)));
+                       ::testing::ValuesIn(kEdgeAlphas),
+                       ::testing::ValuesIn(kEdgeBetas)));
 
 TEST(Gemm, ZeroDimensionsAreNoOps)
 {
@@ -256,6 +270,136 @@ TEST(Gemm, LargeBlockedKPath)
     for (std::size_t i = 0; i < c.size(); ++i) {
         EXPECT_NEAR(c[i], c_ref[i], 1e-3f);
     }
+}
+
+// -- The blocked path's arithmetic, bit for bit ------------------------
+
+/** True where gemm's blocked path runs the AVX2+FMA micro-kernel. */
+bool
+has_avx2_fma()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+    return false;
+#endif
+}
+
+/** True when gemm packs this shape (src/tensor/gemm.cc's dispatch). */
+bool
+takes_blocked_path(std::int64_t m, std::int64_t n, std::int64_t k)
+{
+    return m >= 6 && n >= 8 && m * n * k > 16 * 1024;
+}
+
+/**
+ * The blocked AVX2 path's per-element arithmetic: C is scaled by beta
+ * first; then each 256-deep k block forms acc = fmaf(a, b, acc) from
+ * zero in k order and writes c = fmaf(alpha, acc, c).
+ */
+void
+fma_contract_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                  std::int64_t k, float alpha, const std::vector<float>& a,
+                  const std::vector<float>& b, float beta,
+                  std::vector<float>& c)
+{
+    for (float& v : c) {
+        v = beta == 0.0f ? 0.0f : (beta == 1.0f ? v : v * beta);
+    }
+    if (alpha == 0.0f) {
+        return;
+    }
+    for (std::int64_t k0 = 0; k0 < k; k0 += 256) {
+        const std::int64_t k1 = std::min(k, k0 + 256);
+        for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+                float acc = 0.0f;
+                for (std::int64_t t = k0; t < k1; ++t) {
+                    const float av =
+                        ta ? a[static_cast<std::size_t>(t * m + i)]
+                           : a[static_cast<std::size_t>(i * k + t)];
+                    const float bv =
+                        tb ? b[static_cast<std::size_t>(j * k + t)]
+                           : b[static_cast<std::size_t>(t * n + j)];
+                    acc = std::fmaf(av, bv, acc);
+                }
+                float& cv = c[static_cast<std::size_t>(i * n + j)];
+                cv = std::fmaf(alpha, acc, cv);
+            }
+        }
+    }
+}
+
+/** Run one case through gemm and the contract; compare every bit. */
+void
+expect_fma_contract(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                    std::int64_t k, float alpha, float beta)
+{
+    Rng rng(static_cast<std::uint64_t>(m * 10007 + n * 101 + k));
+    std::vector<float> a(static_cast<std::size_t>(m * k));
+    std::vector<float> b(static_cast<std::size_t>(k * n));
+    std::vector<float> c(static_cast<std::size_t>(m * n));
+    for (auto* v : {&a, &b, &c}) {
+        for (float& x : *v) {
+            x = rng.normal();
+        }
+    }
+    std::vector<float> expect = c;
+    gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, c.data());
+    fma_contract_gemm(ta, tb, m, n, k, alpha, a, b, beta, expect);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&c[i], &expect[i], sizeof(float)), 0)
+            << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n
+            << " k=" << k << " alpha=" << alpha << " beta=" << beta
+            << " at " << i << ": " << c[i] << " vs " << expect[i];
+    }
+}
+
+/** Append the shapes of an m×n×k grid that take the blocked path. */
+template <std::size_t M, std::size_t N, std::size_t K>
+void
+add_blocked_shapes(const int (&ms)[M], const int (&ns)[N], const int (&ks)[K],
+                   std::vector<std::tuple<int, int, int>>& shapes)
+{
+    for (const int m : ms) {
+        for (const int n : ns) {
+            for (const int k : ks) {
+                if (takes_blocked_path(m, n, k)) {
+                    shapes.emplace_back(m, n, k);
+                }
+            }
+        }
+    }
+}
+
+TEST(Gemm, BlockedPathFollowsTheFmaContract)
+{
+    if (!has_avx2_fma()) {
+        GTEST_SKIP() << "the contract pins the AVX2+FMA micro-kernel";
+    }
+    // Every blocked shape of the grids above, under every transpose
+    // and every edge alpha/beta; then the k-block and row-panel shapes.
+    std::vector<std::tuple<int, int, int>> shapes;
+    add_blocked_shapes(kAllM, kAllN, kAllK, shapes);
+    add_blocked_shapes(kTileM, kTileN, kTileK, shapes);
+    for (const int k : {255, 256, 257, 300}) {  // KcBlockBoundary
+        shapes.emplace_back(13, 21, k);
+    }
+    ASSERT_GT(shapes.size(), 10u);
+    for (const auto& [m, n, k] : shapes) {
+        for (const bool ta : {false, true}) {
+            for (const bool tb : {false, true}) {
+                for (const float alpha : kEdgeAlphas) {
+                    for (const float beta : kEdgeBetas) {
+                        expect_fma_contract(ta, tb, m, n, k, alpha, beta);
+                    }
+                }
+            }
+        }
+    }
+    // LargeRowCountTakesRowPanelPath: row panels split across threads.
+    expect_fma_contract(false, false, 201, 128, 128, 1.0f, 0.0f);
+    expect_fma_contract(true, true, 201, 128, 128, 0.7f, 0.3f);
 }
 
 }  // namespace

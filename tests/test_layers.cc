@@ -1,4 +1,6 @@
 /** @file Gradient and behavior tests for every layer type. */
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -299,6 +301,57 @@ TEST(MaxPool2d, NumericGradient)
     // Spread values so argmax is stable under the FD perturbation.
     Tensor x = Tensor::normal(Shape({1, 2, 4, 4}), rng, 0.0f, 5.0f);
     testing::check_layer_gradients(pool, x, rng, 1e-3f, 2e-2);
+}
+
+TEST(MaxPool2d, NanAndNegInfWindowsAnswerWithTheirFirstElement)
+{
+    // No element of an all-NaN or all-−inf window beats −inf, so such a
+    // window outputs its first element, and its gradient goes there.
+    // A NaN beside a real value still loses to it.
+    nn::MaxPool2d pool(nn::PoolConfig{2, 2, 0});
+    ExecutionContext ctx;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float ninf = -std::numeric_limits<float>::infinity();
+    Tensor x(Shape({1, 1, 2, 6}));
+    const float values[] = {nan, nan, ninf, ninf, nan, 3.0f,
+                            nan, nan, ninf, ninf, ninf, 1.0f};
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+        x[i] = values[i];
+    }
+    const Tensor y = pool.forward(x, ctx, Mode::kEval);
+    ASSERT_EQ(y.shape(), Shape({1, 1, 1, 3}));
+    EXPECT_TRUE(std::isnan(y[0]));
+    EXPECT_EQ(y[1], ninf);
+    EXPECT_EQ(y[2], 3.0f);
+
+    const Tensor g =
+        pool.backward(Tensor::full(Shape({1, 1, 1, 3}), 2.0f), ctx);
+    for (std::int64_t i = 0; i < g.size(); ++i) {
+        const bool routed = i == 0 || i == 2 || i == 5;
+        EXPECT_EQ(g[i], routed ? 2.0f : 0.0f) << i;
+    }
+}
+
+TEST(MaxPool2d, PaddedNegInfWindowsAnswerWithTheirFirstInBoundsElement)
+{
+    // With padding, a window's first element is its first in-bounds one.
+    nn::MaxPool2d pool(nn::PoolConfig{3, 2, 1});
+    ExecutionContext ctx;
+    const float ninf = -std::numeric_limits<float>::infinity();
+    const Tensor x = Tensor::full(Shape({1, 1, 3, 3}), ninf);
+    const Tensor y = pool.forward(x, ctx, Mode::kEval);
+    ASSERT_EQ(y.shape(), Shape({1, 1, 2, 2}));
+    for (std::int64_t i = 0; i < y.size(); ++i) {
+        EXPECT_EQ(y[i], ninf);
+    }
+    const Tensor g =
+        pool.backward(Tensor::full(Shape({1, 1, 2, 2}), 1.0f), ctx);
+    // Windows start at rows/cols {−1, 1}: first in-bounds (0,0), (0,1),
+    // (1,0), (1,1) — flat indices 0, 1, 3, 4.
+    for (std::int64_t i = 0; i < g.size(); ++i) {
+        const bool routed = i == 0 || i == 1 || i == 3 || i == 4;
+        EXPECT_EQ(g[i], routed ? 1.0f : 0.0f) << i;
+    }
 }
 
 TEST(AvgPool2d, AveragesWindow)

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <iterator>
 #include <filesystem>
+#include <limits>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -150,6 +151,50 @@ TEST(NetServer, LoopbackMatchesInProcessBitExact)
     EXPECT_EQ(stats.connections_accepted, 1);
     EXPECT_EQ(stats.frames_served, 8);
     EXPECT_EQ(stats.protocol_errors, 0);
+}
+
+TEST(NetServer, AllNanFrameIntoACloudMaxPoolIsAnswered)
+{
+    // A LeNet split after Conv0 starts its cloud half with MaxPool2d.
+    // One all-NaN frame must get an answer, not take the process down,
+    // and the next request on a new connection is answered bit-exactly.
+    Rng rng(93);
+    auto net = models::make_lenet(rng);
+    split::SplitModel model(*net, split::conv_cut_points(*net).front());
+    const Shape act = model.activation_shape(Shape({1, 28, 28}));
+    const Shape per_sample({act[1], act[2], act[3]});
+    core::NoiseCollection collection;
+    for (int i = 0; i < 2; ++i) {
+        core::NoiseSample s;
+        s.noise = Tensor::laplace(per_sample, rng, 0.0f, 1.0f);
+        collection.add(std::move(s));
+    }
+    ServingEngine engine;
+    EndpointConfig ep;
+    ep.max_batch = 4;
+    ep.batch_timeout_ms = 0.2;
+    engine.register_endpoint(
+        "conv0", model, std::make_shared<ReplayPolicy>(collection, 0xFACE),
+        ep);
+    net::Server server(engine);
+
+    {
+        net::Client client("127.0.0.1", server.port());
+        const Tensor nan_frame = Tensor::full(
+            per_sample, std::numeric_limits<float>::quiet_NaN());
+        const Tensor answer = client.infer("conv0", nan_frame, 1);
+        EXPECT_EQ(answer.shape().rank(), 1);
+        EXPECT_GT(answer.size(), 0);
+    }
+    net::Client client("127.0.0.1", server.port());
+    const Tensor activation = Tensor::normal(per_sample, rng);
+    const Tensor wire = client.infer("conv0", activation, 2);
+    const Tensor direct = engine.submit("conv0", activation, 2).get();
+    ASSERT_EQ(wire.shape().to_string(), direct.shape().to_string());
+    EXPECT_EQ(std::memcmp(wire.data(), direct.data(),
+                          sizeof(float) * static_cast<std::size_t>(
+                                              wire.size())),
+              0);
 }
 
 TEST(NetServer, ColdStartBundleEndpointServesOverWire)
