@@ -21,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <random>
 #include <string>
@@ -171,19 +172,30 @@ measure_conv()
 }
 
 /**
- * Median seconds per call over several `time_loop` windows: one window
- * that lost the CPU to a neighbour cannot move it.
+ * Median seconds per call of each variant over seven `time_loop`
+ * windows, timed in turn (a, b, c, a, b, c, ...): one window that lost
+ * the CPU to a neighbour cannot move a median, and a slow stretch of
+ * the host lands on every variant alike, so their ratios hold.
  */
-template <typename F>
-double
-median_seconds(F&& fn)
+std::vector<double>
+interleaved_median_seconds(const std::vector<std::function<void()>>& variants)
 {
-    std::vector<double> windows;
-    for (int w = 0; w < 7; ++w) {
-        windows.push_back(bench::time_loop(fn, bench::measure_seconds() / 2));
+    constexpr int kWindows = 7;
+    std::vector<std::vector<double>> windows(variants.size());
+    for (int w = 0; w < kWindows; ++w) {
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+            windows[v].push_back(
+                bench::time_loop(variants[v], bench::measure_seconds() / 2));
+        }
     }
-    std::nth_element(windows.begin(), windows.begin() + 3, windows.end());
-    return windows[3];
+    std::vector<double> medians;
+    medians.reserve(windows.size());
+    for (std::vector<double>& times : windows) {
+        std::nth_element(times.begin(), times.begin() + kWindows / 2,
+                         times.end());
+        medians.push_back(times[kWindows / 2]);
+    }
+    return medians;
 }
 
 struct ConvPoint
@@ -215,9 +227,9 @@ measure_svhn_cloud_convs()
         ctx.set_retain_activations(false);
         ConvPoint p;
         p.in_channels = cin;
-        p.fwd_us = median_seconds([&] {
+        p.fwd_us = interleaved_median_seconds({[&] {
                        Tensor y = conv.forward(x, ctx, nn::Mode::kEval);
-                   }) *
+                   }})[0] *
                    1e6;
         p.gflops = gflops(2.0 * static_cast<double>(conv.macs(x.shape())),
                           p.fwd_us * 1e-6);
@@ -341,19 +353,17 @@ measure_laplace_draw()
         std::memcmp(std_engine.data(), frozen.data(), bytes) == 0;
 
     std::uint64_t seed = 0;
-    p.draw_us = median_seconds([&] {
-                    Rng draw_rng(++seed);
-                    dist.add_sample(draw_rng, row.data());
-                }) *
-                1e6;
-    p.std_engine_us = median_seconds([&] {
-                          std_engine_laplace_apply(dist, ++seed, row.data());
-                      }) *
-                      1e6;
-    p.frozen_us = median_seconds([&] {
-                      frozen_laplace_apply(dist, ++seed, row.data());
-                  }) *
-                  1e6;
+    const std::vector<double> seconds = interleaved_median_seconds({
+        [&] {
+            Rng draw_rng(++seed);
+            dist.add_sample(draw_rng, row.data());
+        },
+        [&] { std_engine_laplace_apply(dist, ++seed, row.data()); },
+        [&] { frozen_laplace_apply(dist, ++seed, row.data()); },
+    });
+    p.draw_us = seconds[0] * 1e6;
+    p.std_engine_us = seconds[1] * 1e6;
+    p.frozen_us = seconds[2] * 1e6;
     return p;
 }
 
@@ -422,12 +432,13 @@ measure_server()
     }
 
     const runtime::ReplayPolicy policy(coll, 0xC0FFEE);
+    ThreadPool pool(1);
     std::vector<ServerPoint> points;
     for (const std::int64_t max_batch : {1, 8, 32}) {
-        runtime::InferenceServerConfig cfg;
+        runtime::EndpointConfig cfg;
         cfg.max_batch = max_batch;
         cfg.batch_timeout_ms = 2.0;
-        runtime::InferenceServer server(model, policy, cfg);
+        runtime::InferenceServer server(model, policy, cfg, pool);
         std::vector<std::future<Tensor>> futures;
         futures.reserve(activations.size());
         for (const Tensor& a : activations) {

@@ -114,7 +114,7 @@ make_engine(split::SplitModel& model,
             bool adaptive, WireDtype wire_dtype)
 {
     runtime::ServingEngineConfig ec;
-    ec.num_workers = static_cast<unsigned>(kInFlight);
+    ec.threads_per_shard = static_cast<unsigned>(kInFlight);
     auto engine = std::make_unique<runtime::ServingEngine>(ec);
 
     runtime::EndpointConfig ep;

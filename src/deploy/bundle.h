@@ -44,8 +44,8 @@
 #include "src/core/noise_collection.h"
 #include "src/core/noise_distribution.h"
 #include "src/nn/sequential.h"
+#include "src/runtime/inference_server.h"
 #include "src/runtime/noise_policy.h"
-#include "src/runtime/serving_engine.h"
 #include "src/tensor/quantize.h"
 #include "src/tensor/tensor.h"
 

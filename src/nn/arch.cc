@@ -169,7 +169,8 @@ registry()
               c.kernel = read_dim(is, "pool kernel");
               c.stride = read_dim(is, "pool stride");
               c.padding = read_dim(is, "pool padding");
-              if (c.kernel <= 0 || c.stride <= 0 || c.padding < 0) {
+              if (c.kernel <= 0 || c.stride <= 0 || c.padding < 0 ||
+                  c.padding >= c.kernel) {
                   throw SerializeError("bad maxpool2d geometry");
               }
               return std::make_unique<MaxPool2d>(c);

@@ -33,9 +33,14 @@ pool_output_shape(const Shape& in, const PoolConfig& cfg, const char* what)
 
 MaxPool2d::MaxPool2d(const PoolConfig& config) : config_(config)
 {
+    // Padding below the kernel keeps an in-bounds element in every
+    // window; a window wholly in the padding has no maximum.
     SHREDDER_REQUIRE(config.kernel > 0 && config.stride > 0 &&
-                         config.padding >= 0,
-                     "bad MaxPool2d config");
+                         config.padding >= 0 &&
+                         config.padding < config.kernel,
+                     "bad MaxPool2d config (kernel ", config.kernel,
+                     ", stride ", config.stride, ", padding ",
+                     config.padding, ")");
 }
 
 Shape

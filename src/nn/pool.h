@@ -25,6 +25,7 @@ struct PoolConfig
 class MaxPool2d final : public Layer
 {
   public:
+    /** Requires padding < kernel, so no window lies wholly in padding. */
     explicit MaxPool2d(const PoolConfig& config);
 
     Tensor forward(const Tensor& x, ExecutionContext& ctx,

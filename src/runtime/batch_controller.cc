@@ -12,16 +12,16 @@ namespace shredder {
 namespace runtime {
 
 BatchController::BatchController(const BatchControllerConfig& config)
-    : config_(config)
+    : config_(config), ewma_interarrival_ms_(config.slo_ms)
 {
+    // Before any traffic the estimate is the SLO itself: an idle server
+    // starts latency-optimal (ship immediately) and learns to batch as
+    // traffic ramps.
     SHREDDER_REQUIRE(config_.slo_ms >= 0.0,
                      "slo_ms must be >= 0, got ", config_.slo_ms);
     SHREDDER_REQUIRE(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
                      "ewma_alpha must be in (0, 1], got ",
                      config_.ewma_alpha);
-    ewma_interarrival_ms_ = config_.initial_interarrival_ms >= 0.0
-                                ? config_.initial_interarrival_ms
-                                : config_.slo_ms;
 }
 
 void

@@ -56,12 +56,6 @@ struct BatchControllerConfig
      * the latest gap".
      */
     double ewma_alpha = 0.2;
-    /**
-     * Inter-arrival estimate (ms) before any traffic has been seen.
-     * Defaults to the SLO: an idle server starts latency-optimal
-     * (ship immediately) and learns to batch as traffic ramps.
-     */
-    double initial_interarrival_ms = -1.0;  ///< < 0 → use slo_ms.
 };
 
 /** See file comment. */

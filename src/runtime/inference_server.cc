@@ -91,12 +91,14 @@ ServerStats::queue_wait_percentile_ms(double p) const
 
 InferenceServer::InferenceServer(split::SplitModel& model,
                                  const NoisePolicy& policy,
-                                 const InferenceServerConfig& config)
+                                 const EndpointConfig& config,
+                                 ThreadPool& pool)
     : model_(model),
       policy_(policy),
       config_(config),
       sample_size_(0),
-      controller_(config.controller),
+      pool_(pool),
+      controller_(BatchControllerConfig{config.slo_ms, config.ewma_alpha}),
       bucket_(config.rate_limit_qps, config.rate_limit_burst)
 {
     SHREDDER_REQUIRE(config_.max_batch >= 1,
@@ -111,13 +113,6 @@ InferenceServer::InferenceServer(split::SplitModel& model,
     SHREDDER_REQUIRE(config_.rate_limit_qps >= 0.0,
                      "rate_limit_qps must be >= 0, got ",
                      config_.rate_limit_qps);
-    if (config_.pool != nullptr) {
-        pool_ = config_.pool;
-    } else {
-        owned_pool_ = std::make_unique<ThreadPool>(config_.num_workers);
-        pool_ = owned_pool_.get();
-    }
-
     const Shape policy_shape = policy_.noise_shape();
     if (config_.sample_shape.rank() > 0) {
         sample_shape_ = config_.sample_shape;
@@ -145,7 +140,7 @@ InferenceServer::InferenceServer(split::SplitModel& model,
     const std::int64_t n_ctx =
         config_.max_concurrent_batches > 0
             ? config_.max_concurrent_batches
-            : static_cast<std::int64_t>(pool_->size());
+            : static_cast<std::int64_t>(pool_.size());
     contexts_.reserve(static_cast<std::size_t>(n_ctx));
     free_contexts_.reserve(static_cast<std::size_t>(n_ctx));
     for (std::int64_t i = 0; i < n_ctx; ++i) {
@@ -166,7 +161,8 @@ InferenceServer::prepare_direct_path()
 {
     // All preconditions are structural and known at construction; a
     // batch additionally requires every request to arrive int8.
-    if (!config_.int8_compute || !policy_.additive() || sample_size_ == 0) {
+    if (!config_.int8_compute.value_or(false) || !policy_.additive() ||
+        sample_size_ == 0) {
         return;
     }
     nn::Sequential& net = model_.network();
@@ -395,7 +391,7 @@ InferenceServer::shutdown()
         }
     }
     // The dispatcher is gone, so inflight_batches_ only decreases now.
-    // Waiting on OUR counter (instead of pool_->wait_idle()) keeps a
+    // Waiting on OUR counter (instead of pool_.wait_idle()) keeps a
     // shared-pool shutdown from blocking on sibling servers' traffic.
     std::unique_lock<std::mutex> lock(inflight_mutex_);
     inflight_cv_.wait(lock, [this] { return inflight_batches_ == 0; });
@@ -484,7 +480,7 @@ InferenceServer::dispatch_loop()
         // shared_ptr because std::function requires copyable closures.
         auto shared =
             std::make_shared<std::vector<Request>>(std::move(batch));
-        pool_->submit([this, shared]() mutable {
+        pool_.submit([this, shared]() mutable {
             execute_batch(std::move(*shared));
             // Notify UNDER the mutex: a shutdown() waiter may destroy
             // this server the moment the predicate holds, so the

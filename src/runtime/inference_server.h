@@ -40,9 +40,9 @@
  * cloud forwards proceed *simultaneously* on one set of parameters —
  * no per-forward model mutex, no model replication. Several servers
  * (or a live noise trainer) may even share one `SplitModel`, each
- * bringing their own contexts. Servers may also share one `ThreadPool`
- * (`InferenceServerConfig::pool`) — how `ServingEngine` hosts many
- * endpoints on one worker set.
+ * bringing their own contexts. A server runs its batches on a
+ * `ThreadPool` its caller owns, and several servers may share one —
+ * how `ServingEngine` hosts many endpoints on one shard's workers.
  *
  * Malformed or post-shutdown submits fail their own future with a
  * typed `ServingError` (see serving_error.h); the server itself never
@@ -63,6 +63,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -107,8 +109,13 @@ struct PromisedCompletion
 /** Build a `PromisedCompletion` (a fresh promise and its future). */
 PromisedCompletion promised_completion();
 
-/** Serving knobs. */
-struct InferenceServerConfig
+/**
+ * Per-endpoint serving knobs: everything one `InferenceServer` reads,
+ * plus the two the `ServingEngine` resolves around it (`wire_dtype`,
+ * `shard`). The manifest keys of docs/DEPLOYMENT.md map onto these
+ * fields one to one.
+ */
+struct EndpointConfig
 {
     /** Max requests fused into one cloud forward. */
     std::int64_t max_batch = 8;
@@ -124,29 +131,20 @@ struct InferenceServerConfig
      * SLO-aware adaptive straggler window: replace the fixed
      * `batch_timeout_ms` with a per-batch deadline computed by a
      * `BatchController` from the EWMA arrival rate and the queue
-     * depth, bounded by `controller.slo_ms` (see batch_controller.h).
-     * The controller's live decisions are visible in `ServerStats`.
+     * depth, bounded by `slo_ms` (see batch_controller.h). The
+     * controller's live decisions are visible in `ServerStats`.
      */
     bool adaptive_batching = false;
-    /** Controller knobs (read only when `adaptive_batching` is on). */
-    BatchControllerConfig controller{};
-    /**
-     * Worker threads executing batches; 0 = hardware concurrency.
-     * Ignored when `pool` is set (the shared pool's size governs).
-     */
-    unsigned num_workers = 1;
-    /**
-     * External thread pool to execute batches on, shared with other
-     * servers (must outlive this server); null = the server owns a
-     * private pool of `num_workers` threads. `ServingEngine` uses this
-     * to run every endpoint on one worker set.
-     */
-    ThreadPool* pool = nullptr;
+    /** Adaptive mode: queue-delay budget (ms) the batcher may add. */
+    double slo_ms = 5.0;
+    /** Adaptive mode: EWMA weight of the newest inter-arrival gap. */
+    double ewma_alpha = 0.2;
     /**
      * Cloud forwards allowed in flight at once — the size of the
-     * server's `ExecutionContext` pool. 0 = one per worker thread.
-     * Values above the worker count buy nothing (a context without a
-     * thread is idle); values below it throttle the pool.
+     * server's `ExecutionContext` pool. 0 = one per worker thread of
+     * the pool it runs on. Values above the worker count buy nothing
+     * (a context without a thread is idle); values below it throttle
+     * the pool.
      */
     std::int64_t max_concurrent_batches = 0;
     /**
@@ -156,9 +154,20 @@ struct InferenceServerConfig
      * `noise_shape()`, or — with neither — is adopted from the first
      * submitted request, which the server cannot validate against
      * the model: production deployments should pin it here or serve
-     * with a shaped policy.
+     * with a shaped policy. Bundle-backed endpoints pin it from the
+     * bundle.
      */
     Shape sample_shape{};
+    /**
+     * Transport dtype clients of this endpoint are expected to use
+     * (`WireDtype::kI8` → 4× fewer activation bytes on the wire).
+     * Unset defers to the bundle's `wire_dtype` hint (cold-start
+     * endpoints) or fp32. Advisory and read by the engine only: the
+     * endpoint still accepts any dtype via `submit_quantized`; this
+     * value drives tooling (shredder_serve's table, the TCP server's
+     * expectations).
+     */
+    std::optional<WireDtype> wire_dtype{};
     /**
      * Feed int8 wire activations straight into an int8 GEMM for the
      * first cloud layer (dequant fused into the epilogue, the
@@ -169,9 +178,19 @@ struct InferenceServerConfig
      * sample shape was pinned at construction, and every request in
      * the batch arrived int8-quantized; anything else silently takes
      * the dequantize→fp32 path, so the knob is always safe to set.
-     * `ServerStats::int8_direct_batches` shows whether it engaged.
+     * Unset defers to the bundle's hint (cold-start endpoints) or
+     * false. `ServerStats::int8_direct_batches` shows whether it
+     * engaged.
      */
-    bool int8_compute = false;
+    std::optional<bool> int8_compute{};
+    /**
+     * Pool shard this endpoint executes on: a shard name ("shard1")
+     * or bare index ("1"). Empty = round-robin over the engine's
+     * shards at registration. An unknown shard throws `kBadBundle`
+     * from registration (it is a deployment-config error). Read by
+     * the engine only.
+     */
+    std::string shard{};
     /**
      * Token-bucket admission rate in requests/second; 0 disables.
      * Over-limit submits fail their own future with `kRateLimited`
@@ -306,10 +325,14 @@ class InferenceServer
      *                the cloud forward (borrowed; must outlive the
      *                server — `ServingEngine` keeps its policies on
      *                shared_ptr for exactly this reason).
-     * @param config  Serving knobs.
+     * @param config  Serving knobs (`wire_dtype` and `shard` are the
+     *                engine's and unread here).
+     * @param pool    Workers that execute the batches (borrowed; must
+     *                outlive the server, and may be shared with other
+     *                servers).
      */
     InferenceServer(split::SplitModel& model, const NoisePolicy& policy,
-                    const InferenceServerConfig& config = {});
+                    const EndpointConfig& config, ThreadPool& pool);
 
     /** Drains outstanding requests, then stops the workers. */
     ~InferenceServer();
@@ -471,7 +494,7 @@ class InferenceServer
 
     split::SplitModel& model_;
     const NoisePolicy& policy_;  ///< The mechanism (borrowed).
-    InferenceServerConfig config_;
+    EndpointConfig config_;
     Shape sample_shape_;        ///< Per-sample activation shape.
     std::int64_t sample_size_;  ///< Elements per activation.
 
@@ -483,8 +506,7 @@ class InferenceServer
     S8Weights s8_weights_;
     const float* direct_bias_ = nullptr;  ///< Linear's bias (or null).
 
-    std::unique_ptr<ThreadPool> owned_pool_;  ///< Null when shared.
-    ThreadPool* pool_;  ///< Owned or `config.pool`; never null.
+    ThreadPool& pool_;  ///< Executes the batches (borrowed).
     std::thread dispatcher_;
     std::mutex shutdown_mutex_;  ///< join() must run exactly once.
 

@@ -15,24 +15,17 @@ namespace shredder {
 namespace runtime {
 
 ServingEngine::ServingEngine(const ServingEngineConfig& config)
-    : config_(config)
 {
     SHREDDER_REQUIRE(config.shards >= 1,
                      "ServingEngineConfig::shards must be >= 1, got ",
                      config.shards);
-    // The single-shard layout keeps the legacy num_workers semantics
-    // exactly; multi-shard splits the budget evenly unless the caller
-    // sizes shards explicitly.
-    const unsigned per_shard =
-        config.threads_per_shard > 0
-            ? config.threads_per_shard
-            : (config.shards <= 1
-                   ? config.num_workers
-                   : std::max(1u, config.num_workers / config.shards));
+    SHREDDER_REQUIRE(config.threads_per_shard >= 1,
+                     "ServingEngineConfig::threads_per_shard must be >= 1, "
+                     "got ", config.threads_per_shard);
     shards_.reserve(config.shards);
     for (unsigned i = 0; i < config.shards; ++i) {
         shards_.push_back(std::make_unique<PoolShard>(
-            "shard" + std::to_string(i), per_shard));
+            "shard" + std::to_string(i), config.threads_per_shard));
     }
 }
 
@@ -142,19 +135,6 @@ ServingEngine::install_endpoint(const std::string& name, Endpoint endpoint,
                            "noise policy (use NoNoisePolicy for clean "
                            "serving)");
     }
-
-    InferenceServerConfig server_config;
-    server_config.max_batch = config.max_batch;
-    server_config.batch_timeout_ms = config.batch_timeout_ms;
-    server_config.adaptive_batching = config.adaptive_batching;
-    server_config.controller.slo_ms = config.slo_ms;
-    server_config.controller.ewma_alpha = config.ewma_alpha;
-    server_config.max_concurrent_batches = config.max_concurrent_batches;
-    server_config.sample_shape = config.sample_shape;
-    server_config.int8_compute = config.int8_compute.value_or(false);
-    server_config.rate_limit_qps = config.rate_limit_qps;
-    server_config.rate_limit_burst = config.rate_limit_burst;
-    server_config.max_in_flight = config.max_in_flight;
     endpoint.wire_dtype = config.wire_dtype.value_or(WireDtype::kF32);
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -169,10 +149,9 @@ ServingEngine::install_endpoint(const std::string& name, Endpoint endpoint,
                            "registered");
     }
     PoolShard& shard = resolve_shard(config.shard);
-    server_config.pool = &shard.pool;
     endpoint.shard_name = shard.name;
     endpoint.server = std::make_unique<InferenceServer>(
-        *endpoint.model, *endpoint.policy, server_config);
+        *endpoint.model, *endpoint.policy, config, shard.pool);
     endpoints_.emplace(name,
                        std::make_shared<Endpoint>(std::move(endpoint)));
     shard.endpoints.push_back(name);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Multi-endpoint serving engine: one process, many models, many noise
- * mechanisms, one worker pool.
+ * mechanisms, one thread budget.
  *
  * A production Shredder deployment rarely hosts exactly one network
  * under exactly one noise mechanism. The engine is the façade for the
@@ -14,14 +14,14 @@
  *   auto logits = engine.submit("mnist-replay", activation, id);
  *
  * Each endpoint is a name → (`SplitModel`, `NoisePolicy`,
- * `InferenceServer` dispatcher) binding. All endpoints share ONE
- * `ThreadPool`: batches from every endpoint interleave on the same
- * workers, so capacity is provisioned once per process instead of per
- * model. The stateless-layer execution model makes this safe — each
- * in-flight batch runs against its endpoint's pooled
- * `ExecutionContext`, weights are read-only, and two endpoints may
- * even serve the *same* `SplitModel` under different policies (the
- * replay-vs-sample A/B above).
+ * `InferenceServer` dispatcher) binding. Endpoints share the engine's
+ * pool shards: batches from every endpoint placed on a shard
+ * interleave on its workers, so capacity is provisioned once per
+ * process instead of per model. The stateless-layer execution model
+ * makes this safe — each in-flight batch runs against its endpoint's
+ * pooled `ExecutionContext`, weights are read-only, and two endpoints
+ * may even serve the *same* `SplitModel` under different policies
+ * (the replay-vs-sample A/B above).
  *
  * Policies are held by `shared_ptr`, so one policy object may back
  * several endpoints and callers may keep measuring through it
@@ -63,32 +63,27 @@ class Bundle;
 
 namespace runtime {
 
-/** Engine-wide knobs. */
+/**
+ * Engine-wide knobs: the process's whole serving thread budget is
+ * `shards × threads_per_shard` workers.
+ */
 struct ServingEngineConfig
 {
-    /**
-     * Worker threads of the single-shard (legacy) layout; 0 =
-     * hardware concurrency. With `shards > 1` this only feeds the
-     * `threads_per_shard` derivation below.
-     */
-    unsigned num_workers = 1;
     /**
      * Named pool shards ("shard0" … "shardN-1"), each an independent
      * `ThreadPool`. Endpoints are placed on exactly one shard
      * (`EndpointConfig::shard`, or round-robin when unset), so
      * tenants get CPU isolation: a hot endpoint saturates its own
      * shard's workers and queue, never the whole engine. Must be
-     * >= 1; the default single shard is the pre-sharding engine
-     * exactly.
+     * >= 1.
      */
     unsigned shards = 1;
     /**
-     * Worker threads per shard. 0 derives from `num_workers`: the
-     * single-shard layout uses `num_workers` verbatim (legacy
-     * behavior), a multi-shard layout splits it evenly
-     * (`max(1, num_workers / shards)`).
+     * Worker threads per shard; must be >= 1. A served batch runs
+     * wholly on the worker that took it: intra-op loops
+     * (`parallel_for`) run inline on pool workers.
      */
-    unsigned threads_per_shard = 0;
+    unsigned threads_per_shard = 1;
 };
 
 /** Read-only view of one pool shard (see `ServingEngine::shard_info`). */
@@ -98,79 +93,6 @@ struct ShardInfo
     std::size_t threads;  ///< Worker threads in this shard's pool.
     /** Endpoints placed on this shard, registration order. */
     std::vector<std::string> endpoints;
-};
-
-/** Per-endpoint knobs (a subset of `InferenceServerConfig`). */
-struct EndpointConfig
-{
-    /** Max requests fused into one cloud forward. */
-    std::int64_t max_batch = 8;
-    /**
-     * Dispatcher straggler wait (ms); 0 = ship immediately. Ignored
-     * when `adaptive_batching` is on.
-     */
-    double batch_timeout_ms = 1.0;
-    /**
-     * Replace the fixed straggler wait with the SLO-aware controller
-     * (src/runtime/batch_controller.h): the dispatch deadline tracks
-     * the predicted batch fill time under the observed arrival rate,
-     * bounded by `slo_ms`.
-     */
-    bool adaptive_batching = false;
-    /** Adaptive mode: queue-delay budget (ms) the batcher may add. */
-    double slo_ms = 5.0;
-    /** Adaptive mode: EWMA weight of the newest inter-arrival gap. */
-    double ewma_alpha = 0.2;
-    /**
-     * Cloud forwards of THIS endpoint allowed in flight at once (its
-     * `ExecutionContext` pool size). 0 = one per shared worker.
-     */
-    std::int64_t max_concurrent_batches = 0;
-    /**
-     * Per-sample activation shape pin (rank 1–3); rank 0 defers to
-     * the policy's `noise_shape()` or first-request adoption, as in
-     * `InferenceServerConfig::sample_shape`.
-     */
-    Shape sample_shape{};
-    /**
-     * Transport dtype clients of this endpoint are expected to use
-     * (`WireDtype::kI8` → 4× fewer activation bytes on the wire).
-     * Unset defers to the bundle's `wire_dtype` hint (cold-start
-     * endpoints) or fp32. Advisory: the endpoint still accepts any
-     * dtype via `submit_quantized`; this value drives tooling
-     * (shredder_serve's table, the TCP server's expectations).
-     */
-    std::optional<WireDtype> wire_dtype{};
-    /**
-     * Let the endpoint's server consume int8-quantized activations
-     * directly through the int8 GEMM first layer
-     * (`InferenceServerConfig::int8_compute`). Unset defers to the
-     * bundle's hint (cold-start endpoints) or false. Always safe to
-     * enable — the server falls back to dequantize→fp32 whenever the
-     * engagement conditions don't hold.
-     */
-    std::optional<bool> int8_compute{};
-    /**
-     * Pool shard this endpoint executes on: a shard name ("shard1")
-     * or bare index ("1"). Empty = round-robin over the engine's
-     * shards at registration. An unknown shard throws `kBadBundle`
-     * from registration (it is a deployment-config error).
-     */
-    std::string shard{};
-    /**
-     * Token-bucket admission rate for this endpoint (requests/s);
-     * 0 disables. Over-limit submits fail typed `kRateLimited`
-     * (`InferenceServerConfig::rate_limit_qps`).
-     */
-    double rate_limit_qps = 0.0;
-    /** Bucket capacity; <= 0 defaults to `max(1, rate_limit_qps)`. */
-    double rate_limit_burst = 0.0;
-    /**
-     * Cap on this endpoint's admitted-but-unanswered requests;
-     * 0 disables. Over-cap submits fail typed `kAdmissionReject`
-     * (`InferenceServerConfig::max_in_flight`).
-     */
-    std::int64_t max_in_flight = 0;
 };
 
 /** See file comment. */
@@ -389,7 +311,7 @@ class ServingEngine
      * One named execution shard: an independent worker pool plus the
      * endpoints placed on it. The shard objects are created at engine
      * construction and never move (endpoint lists mutate under
-     * `mutex_`); `InferenceServer`s hold raw pointers to the pools.
+     * `mutex_`); `InferenceServer`s hold references to the pools.
      */
     struct PoolShard
     {
@@ -428,7 +350,6 @@ class ServingEngine
     void install_endpoint(const std::string& name, Endpoint endpoint,
                           const EndpointConfig& config);
 
-    ServingEngineConfig config_;
     /**
      * The execution shards (fixed at construction; declared before
      * the endpoint map so servers die before their pools).

@@ -108,9 +108,15 @@ parallel_for(std::int64_t begin, std::int64_t end,
     if (n <= 0) {
         return;
     }
-    ThreadPool& pool = ThreadPool::global();
-    const std::int64_t workers = static_cast<std::int64_t>(pool.size());
-    if (n <= grain || workers <= 1) {
+    // A pool worker runs the loop itself: its pool's thread budget
+    // already covers it, and waiting on chunks queued behind other work
+    // would idle it. Chunking never changes what an iteration computes.
+    ThreadPool* const pool = n > grain && !ThreadPool::in_worker()
+                                 ? &ThreadPool::global()
+                                 : nullptr;
+    const std::int64_t workers =
+        pool != nullptr ? static_cast<std::int64_t>(pool->size()) : 1;
+    if (workers <= 1) {
         for (std::int64_t i = begin; i < end; ++i) {
             fn(i);
         }
@@ -127,7 +133,7 @@ parallel_for(std::int64_t begin, std::int64_t end,
     std::condition_variable done_cv;
     for (std::int64_t lo = begin; lo < end; lo += chunk) {
         const std::int64_t hi = std::min(end, lo + chunk);
-        pool.submit([lo, hi, &fn, &remaining, &done_mutex, &done_cv] {
+        pool->submit([lo, hi, &fn, &remaining, &done_mutex, &done_cv] {
             for (std::int64_t i = lo; i < hi; ++i) {
                 fn(i);
             }

@@ -58,9 +58,9 @@ class ThreadPool
 
     /**
      * True when the calling thread is a pool worker (of any pool).
-     * Substrate code uses this to stay serial instead of nesting a
-     * second `parallel_for` inside a worker, which would leave the
-     * submitting worker idle while its chunks queue behind it.
+     * `parallel_for` uses this to run inline instead of fanning out
+     * from a worker, which would leave the submitting worker idle while
+     * its chunks queue behind it, on threads its pool never budgeted.
      */
     static bool in_worker();
 
@@ -81,7 +81,10 @@ class ThreadPool
  *
  * Iterations are split into contiguous chunks, one per worker. The
  * caller blocks until all iterations complete. Degenerates to a serial
- * loop when the range is small or the pool has one worker.
+ * loop on the calling thread when the range is small, the pool has one
+ * worker, or the caller is itself a pool worker (of any pool) — so a
+ * served batch stays on the shard worker that took it, and the global
+ * pool is never built from one.
  *
  * @param begin   First index (inclusive).
  * @param end     Last index (exclusive).

@@ -14,9 +14,9 @@
  * strides, so all four transpose combinations share one kernel and
  * none materializes a full transposed copy: scratch is bounded by
  * O(MC·KC + NC·KC) floats per thread and reused across calls via
- * `ScratchArena`. Large-m problems split their MC row blocks across
- * `ThreadPool::global()` (each worker packs A into its own arena; the
- * shared packed B is read-only).
+ * `ScratchArena`. Large-m problems split their MC row blocks with
+ * `parallel_for` (each worker packs A into its own arena; the shared
+ * packed B is read-only).
  *
  * Two micro-kernels are compiled and picked once at runtime: a 6×8
  * tile for the portable SSE2 baseline (12 XMM accumulators) and a
@@ -387,11 +387,9 @@ gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
                 }
             };
 
-            const bool threaded = num_blocks > 1 &&
-                                  m * n * k >= kParallelMinWork &&
-                                  !ThreadPool::in_worker() &&
-                                  ThreadPool::global().size() > 1;
-            if (threaded) {
+            // parallel_for keeps the blocks on this thread when it is a
+            // pool worker (a served batch, or a conv sample's chunk).
+            if (m * n * k >= kParallelMinWork) {
                 parallel_for(0, num_blocks, row_block);
             } else {
                 for (std::int64_t blk = 0; blk < num_blocks; ++blk) {

@@ -7,9 +7,10 @@
  * into cache-resident micro-panels through explicit strides — so the
  * four transpose combinations share one kernel without materializing
  * transposed copies — and an MR×NR micro-kernel accumulates in
- * registers. Large-m calls split row panels across the global
- * `ThreadPool`; skinny/small problems take a strided fallback. See
- * docs/PERFORMANCE.md for blocking parameters and measured throughput.
+ * registers. Large-m calls split row panels with `parallel_for`
+ * (serial on a pool worker); skinny/small problems take a strided
+ * fallback. See docs/PERFORMANCE.md for blocking parameters and
+ * measured throughput.
  */
 #ifndef SHREDDER_TENSOR_GEMM_H
 #define SHREDDER_TENSOR_GEMM_H

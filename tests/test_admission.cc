@@ -34,7 +34,6 @@ namespace {
 
 using runtime::EndpointConfig;
 using runtime::InferenceServer;
-using runtime::InferenceServerConfig;
 using runtime::NoNoisePolicy;
 using runtime::ServingEngine;
 using runtime::ServingEngineConfig;
@@ -163,14 +162,13 @@ TEST(Admission, InFlightCapRejectsBeforeBurningTokens)
     std::shared_future<void> opened = gate.get_future().share();
     pool.submit([opened] { opened.wait(); });
 
-    InferenceServerConfig cfg;
-    cfg.pool = &pool;
+    EndpointConfig cfg;
     cfg.max_batch = 1;
     cfg.batch_timeout_ms = 0.0;
     cfg.max_in_flight = 1;
     cfg.rate_limit_qps = 0.0001;  // ~1 token per 3 hours: no refill
     cfg.rate_limit_burst = 2.0;
-    InferenceServer server(fx.model, policy, cfg);
+    InferenceServer server(fx.model, policy, cfg, pool);
 
     auto f1 = server.submit(fx.sample_activation(), 1);  // token 1 of 2
     auto f2 = server.submit(fx.sample_activation(), 2);  // over the cap
@@ -202,7 +200,7 @@ TEST(Admission, EngineRateLimitIsTypedAndOtherEndpointsKeepServing)
 {
     Fixture fx;
     ServingEngineConfig ec;
-    ec.num_workers = 1;
+    ec.threads_per_shard = 1;
     ServingEngine engine(ec);
     EndpointConfig limited;
     limited.max_batch = 1;

@@ -23,6 +23,7 @@
 #include "src/runtime/batch_controller.h"
 #include "src/runtime/inference_server.h"
 #include "src/runtime/noise_policy.h"
+#include "src/runtime/thread_pool.h"
 #include "src/split/split_model.h"
 #include "src/tensor/tensor.h"
 
@@ -235,13 +236,13 @@ TEST(BatchControllerContract, AdaptiveServerServesConcurrentTraffic)
     const Shape act = model.activation_shape(Shape({1, 28, 28}));
     const Shape per_sample({act[1], act[2], act[3]});
 
-    runtime::InferenceServerConfig cfg;
+    runtime::EndpointConfig cfg;
     cfg.max_batch = 4;
     cfg.adaptive_batching = true;
-    cfg.controller.slo_ms = 2.0;
-    cfg.num_workers = 2;
+    cfg.slo_ms = 2.0;
+    ThreadPool pool(2);
     runtime::NoNoisePolicy policy;
-    runtime::InferenceServer server(model, policy, cfg);
+    runtime::InferenceServer server(model, policy, cfg, pool);
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 16;
@@ -267,7 +268,7 @@ TEST(BatchControllerContract, AdaptiveServerServesConcurrentTraffic)
     const ServerStats stats = server.stats();
     EXPECT_EQ(stats.requests, kThreads * kPerThread);
     EXPECT_GE(stats.last_deadline_ms, 0.0);
-    EXPECT_LE(stats.last_deadline_ms, cfg.controller.slo_ms);
+    EXPECT_LE(stats.last_deadline_ms, cfg.slo_ms);
     EXPECT_GT(stats.ewma_interarrival_ms, 0.0);
     // Every batch ships either full or on a deadline/ship-now
     // decision; the two counters partition all dispatches.

@@ -21,6 +21,7 @@
 #include "src/core/noise_distribution.h"
 #include "src/deploy/bundle.h"
 #include "src/models/zoo.h"
+#include "src/nn/activations.h"
 #include "src/nn/arch.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dropout.h"
@@ -1028,6 +1029,45 @@ TEST(BundleTrustBoundary, LyingTensorHeaderAllocatesNoMoreThanTheFile)
     const test::LargestAllocation probe;
     expect_load_error(path, ServingErrorCode::kBadBundle);
     EXPECT_LE(probe.bytes(), bytes.size());
+    std::remove(path.c_str());
+}
+
+TEST(BundleTrustBoundary, MaxPoolPaddingAtLeastTheKernelIsTyped)
+{
+    // A max-pool whose padding reaches its kernel has windows wholly in
+    // the padding; the loader must refuse it as a bad bundle instead of
+    // serving a network whose first forward would abort. Kernel 1,
+    // stride 3 on a 4x4 map gives a 2x2 output with padding 0 and with
+    // padding 1, so the patched bundle passes every shape check.
+    Rng rng(8);
+    nn::Sequential net;
+    net.emplace<nn::Conv2d>(nn::Conv2dConfig{1, 2, 1, 1, 0, true}, rng);
+    net.emplace<nn::ReLU>();
+    net.emplace<nn::MaxPool2d>(nn::PoolConfig{1, 3, 0});
+    net.emplace<nn::Flatten>();
+    net.emplace<nn::Linear>(2 * 2 * 2, 3, rng);
+    deploy::BundleContents contents;
+    contents.network = &net;
+    contents.cut = 2;
+    contents.input_shape = Shape({1, 4, 4});
+    contents.policy.kind = deploy::PolicyKind::kNone;
+    const std::string path = temp_path("pool_padding.shb");
+    deploy::save_bundle(path, contents);
+    ASSERT_NO_THROW((void)deploy::load_bundle(path));
+
+    std::string bytes = slurp(path);
+    // The layer record is the tag string, then the config string:
+    // u32 length, kernel u64, stride u64, padding u64.
+    const std::string tag = "maxpool2d";
+    const auto pos = bytes.find(tag);
+    ASSERT_NE(pos, std::string::npos);
+    const std::size_t kernel_off = pos + tag.size() + 4;
+    const std::size_t padding_off = kernel_off + 16;
+    ASSERT_EQ(bytes[kernel_off], 1);
+    ASSERT_EQ(bytes[padding_off], 0);
+    bytes[padding_off] = bytes[kernel_off];
+    spew(path, bytes);
+    expect_load_error(path, ServingErrorCode::kBadBundle);
     std::remove(path.c_str());
 }
 

@@ -354,6 +354,18 @@ TEST(MaxPool2d, PaddedNegInfWindowsAnswerWithTheirFirstInBoundsElement)
     }
 }
 
+TEST(MaxPool2dDeath, PaddingAtLeastTheKernelIsRejected)
+{
+    // PoolConfig{2, 2, 2} on [1,1,4,4] would give a [1,1,4,4] output
+    // whose first window lies wholly in the padding: no maximum exists,
+    // so the constructor refuses the geometry up front.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT({ nn::MaxPool2d pool(nn::PoolConfig{2, 2, 2}); },
+                ::testing::ExitedWithCode(1), "bad MaxPool2d config");
+    EXPECT_EXIT({ nn::MaxPool2d pool(nn::PoolConfig{3, 1, 4}); },
+                ::testing::ExitedWithCode(1), "bad MaxPool2d config");
+}
+
 TEST(AvgPool2d, AveragesWindow)
 {
     nn::AvgPool2d pool(nn::PoolConfig{2, 2, 0});

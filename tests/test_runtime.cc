@@ -66,6 +66,27 @@ TEST(ParallelFor, GrainForcesSerial)
     EXPECT_TRUE(all_same_thread);
 }
 
+TEST(ParallelFor, RunsInlineOnAPoolWorker)
+{
+    // Called from a worker of any pool (here a serving-style pool of
+    // two), the loop stays on that worker: the global pool's threads
+    // are outside the caller's thread budget.
+    ThreadPool pool(2);
+    std::thread::id worker;
+    std::vector<std::thread::id> ran_on(64);
+    pool.submit([&] {
+        worker = std::this_thread::get_id();
+        parallel_for(0, 64, [&](std::int64_t i) {
+            ran_on[static_cast<std::size_t>(i)] =
+                std::this_thread::get_id();
+        });
+    });
+    pool.wait_idle();
+    for (const std::thread::id& id : ran_on) {
+        EXPECT_EQ(id, worker);
+    }
+}
+
 TEST(ParallelFor, ComputesCorrectSum)
 {
     std::vector<double> parts(1000);

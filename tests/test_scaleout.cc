@@ -4,12 +4,14 @@
  * many client threads must produce BIT-exactly the results of a serial
  * `cloud_forward` over policy-applied activations, for every policy
  * kind. Also pins shard placement (round-robin, by index, by name),
- * `shard_info`/`shard_of` introspection, and single-shard legacy
- * equivalence.
+ * `shard_info`/`shard_of` introspection, the default one-shard,
+ * one-worker engine, and a conv cloud half served in batches on a
+ * multi-worker shard.
  *
  * Labeled `concurrency` in CMake and run under TSan in CI: the
  * assertions are the determinism oracle, TSan is the data-race oracle.
  */
+#include <algorithm>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -349,20 +351,18 @@ TEST(ScaleOut, UnknownShardIsTypedBadBundle)
     EXPECT_EQ(engine.shard_of("first"), "shard0");
 }
 
-TEST(ScaleOut, SingleShardLegacyEquivalence)
+TEST(ScaleOut, DefaultEngineIsOneShardOfOneWorker)
 {
-    // Default config (shards=1) behaves exactly like the pre-sharding
-    // engine: one pool of num_workers threads, everything on shard0.
+    // The default config is the whole serving thread budget at its
+    // smallest: one shard of one worker, everything on shard0.
     Fixture fx;
-    ServingEngineConfig ec;
-    ec.num_workers = 2;
-    ServingEngine engine(ec);
+    ServingEngine engine;
     engine.register_endpoint("ep", fx.model,
                              std::make_shared<NoNoisePolicy>());
     EXPECT_EQ(engine.shard_of("ep"), "shard0");
     const auto info = engine.shard_info();
     ASSERT_EQ(info.size(), 1u);
-    EXPECT_EQ(info[0].threads, 2u);
+    EXPECT_EQ(info[0].threads, 1u);
     ASSERT_EQ(info[0].endpoints.size(), 1u);
 
     nn::ExecutionContext ctx;
@@ -375,6 +375,92 @@ TEST(ScaleOut, SingleShardLegacyEquivalence)
                                  "single-shard vs direct");
 
     EXPECT_THROW(engine.shard_of("missing"), ServingError);
+}
+
+TEST(ScaleOut, ConvCloudHalfBatchedOnAShardIsBitExact)
+{
+    // LeNet split at its FIRST conv cut, so the cloud half runs
+    // Conv2d::forward (and a max-pool) on every batch. Served on one
+    // shard of two workers in full batches of 8, the conv's per-sample
+    // loop runs inline on the worker that took the batch. The reference
+    // runs the same 8 rows through policy.apply and one cloud_forward
+    // on this thread, where the loop fans out over the global pool:
+    // chunking must not change a bit.
+    Rng rng(43);
+    const auto net = models::make_lenet(rng);
+    split::SplitModel model(*net, split::conv_cut_points(*net).front());
+    const Shape batch1 = model.activation_shape(Shape({1, 28, 28}));
+    const Shape per_sample({batch1[1], batch1[2], batch1[3]});
+    core::NoiseCollection coll;
+    for (int i = 0; i < 4; ++i) {
+        core::NoiseSample s;
+        s.noise = Tensor::laplace(per_sample, rng, 0.0f, 0.5f);
+        coll.add(std::move(s));
+    }
+    const auto policy = std::make_shared<SamplePolicy>(
+        core::NoiseDistribution::fit(coll), 0x5A3EULL);
+
+    constexpr std::int64_t kBatch = 8;
+    constexpr int kRounds = 3;
+    ServingEngineConfig ec;
+    ec.threads_per_shard = 2;
+    ServingEngine engine(ec);
+    EndpointConfig ep;
+    ep.max_batch = kBatch;
+    ep.batch_timeout_ms = 10000.0;  // only a full batch ships
+    engine.register_endpoint("conv", model, policy, ep);
+
+    nn::ExecutionContext ctx;
+    for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<Tensor>> futures;
+        Tensor reference_in(
+            Shape({kBatch, per_sample[0], per_sample[1], per_sample[2]}));
+        for (std::int64_t i = 0; i < kBatch; ++i) {
+            const auto id = static_cast<std::uint64_t>(round * kBatch + i);
+            const Tensor a = Tensor::normal(per_sample, rng);
+            futures.push_back(engine.submit("conv", a, id));
+            const Tensor noisy = policy->apply(a, id);
+            std::copy(noisy.data(), noisy.data() + noisy.size(),
+                      reference_in.data() + i * noisy.size());
+        }
+        const Tensor want = model.cloud_forward(reference_in, ctx,
+                                                nn::Mode::kEval);
+        const std::int64_t classes = want.shape()[1];
+        for (std::int64_t i = 0; i < kBatch; ++i) {
+            const Tensor got = futures[static_cast<std::size_t>(i)].get();
+            ASSERT_EQ(got.size(), classes);
+            Tensor want_row(Shape({classes}));
+            std::copy(want.data() + i * classes,
+                      want.data() + (i + 1) * classes, want_row.data());
+            testing::expect_tensors_near(
+                got, want_row, 0.0,
+                ("round " + std::to_string(round) + " row " +
+                 std::to_string(i))
+                    .c_str());
+        }
+    }
+    const runtime::ServerStats stats = engine.stats("conv");
+    EXPECT_EQ(stats.requests, kRounds * kBatch);
+    EXPECT_EQ(stats.batches, kRounds);
+    EXPECT_EQ(stats.max_batch_seen, kBatch);
+}
+
+TEST(ScaleOutDeath, ZeroThreadsPerShardExitsWithOne)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ServingEngineConfig ec;
+    ec.threads_per_shard = 0;
+    EXPECT_EXIT({ ServingEngine engine(ec); },
+                ::testing::ExitedWithCode(1), "threads_per_shard");
+}
+
+TEST(ScaleOutDeath, ZeroShardsExitsWithOne)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ServingEngineConfig ec;
+    ec.shards = 0;
+    EXPECT_EXIT({ ServingEngine engine(ec); },
+                ::testing::ExitedWithCode(1), "shards must be >= 1");
 }
 
 TEST(ScaleOut, DeregisterRemovesFromShardAndKeepsOthersServing)

@@ -11,6 +11,7 @@
 #include "src/runtime/inference_server.h"
 #include "src/runtime/noise_policy.h"
 #include "src/runtime/serving_error.h"
+#include "src/runtime/thread_pool.h"
 #include "src/split/split_model.h"
 #include "src/tensor/ops.h"
 #include "tests/test_util.h"
@@ -18,8 +19,8 @@
 namespace shredder {
 namespace {
 
+using runtime::EndpointConfig;
 using runtime::InferenceServer;
-using runtime::InferenceServerConfig;
 using runtime::NoNoisePolicy;
 using runtime::ReplayPolicy;
 using runtime::ServingError;
@@ -94,9 +95,10 @@ TEST(InferenceServer, MatchesDirectCloudForward)
 {
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 4;
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, cfg, pool);
 
     nn::ExecutionContext ctx;
     for (int i = 0; i < 5; ++i) {
@@ -126,22 +128,23 @@ TEST(InferenceServer, BatchedEqualsSequential)
     }
 
     // Sequential reference: batch size 1.
+    ThreadPool pool(1);
     std::vector<Tensor> sequential;
     {
-        InferenceServerConfig cfg;
+        EndpointConfig cfg;
         cfg.max_batch = 1;
         cfg.batch_timeout_ms = 0.0;
-        InferenceServer server(fx.model, policy, cfg);
+        InferenceServer server(fx.model, policy, cfg, pool);
         for (const Tensor& a : activations) {
             sequential.push_back(server.infer(a));
         }
     }
 
     // Batched run: everything submitted up front, fused into batches.
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 5;
     cfg.batch_timeout_ms = 20.0;
-    InferenceServer server(fx.model, policy, cfg);
+    InferenceServer server(fx.model, policy, cfg, pool);
     std::vector<std::future<Tensor>> futures;
     for (const Tensor& a : activations) {
         futures.push_back(server.submit(a));
@@ -164,11 +167,13 @@ TEST(InferenceServer, PerRequestNoiseIsApplied)
     const Tensor a = fx.sample_activation();
 
     ReplayPolicy replay(coll, kSeed);
-    InferenceServerConfig noisy_cfg;
+    EndpointConfig noisy_cfg;
     noisy_cfg.max_batch = 1;
-    InferenceServer noisy(fx.model, replay, noisy_cfg);
+    ThreadPool noisy_pool(1);
+    InferenceServer noisy(fx.model, replay, noisy_cfg, noisy_pool);
     NoNoisePolicy no_noise;
-    InferenceServer clean(fx.model, no_noise);
+    ThreadPool clean_pool(1);
+    InferenceServer clean(fx.model, no_noise, {}, clean_pool);
 
     const Tensor with_noise = noisy.infer(a);
     const Tensor without = clean.infer(a);
@@ -189,10 +194,11 @@ TEST(InferenceServer, ConcurrentSubmitIsSafe)
     Fixture fx;
     core::NoiseCollection coll = fx.collection(3);
     ReplayPolicy policy(coll, kSeed);
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 8;
     cfg.batch_timeout_ms = 1.0;
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, cfg, pool);
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 6;
@@ -240,12 +246,12 @@ TEST(InferenceServer, ConcurrentStressBitExactVsSerial)
     core::NoiseCollection coll = fx.collection(3);
     const std::uint64_t seed = 0xFEEDFACEULL;
     ReplayPolicy policy(coll, seed);
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 1;
     cfg.batch_timeout_ms = 0.0;
-    cfg.num_workers = 4;
     cfg.max_concurrent_batches = 4;
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(4);
+    InferenceServer server(fx.model, policy, cfg, pool);
     EXPECT_EQ(server.max_concurrent_batches(), 4);
 
     constexpr int kThreads = 4;
@@ -314,12 +320,12 @@ TEST(InferenceServer, ConcurrentBatchedAgreesWithSerial)
     core::NoiseCollection coll = fx.collection(2);
     const std::uint64_t seed = 0xABCDEFULL;
     ReplayPolicy policy(coll, seed);
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 8;
     cfg.batch_timeout_ms = 1.0;
-    cfg.num_workers = 2;
     cfg.max_concurrent_batches = 2;
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(2);
+    InferenceServer server(fx.model, policy, cfg, pool);
 
     constexpr int kRequests = 200;
     std::vector<Tensor> acts;
@@ -373,12 +379,12 @@ TEST(InferenceServer, ReplaySeedReproducesNoiseAssignment)
     }
 
     const auto run = [&](std::uint64_t seed) {
-        InferenceServerConfig cfg;
+        EndpointConfig cfg;
         cfg.max_batch = 1;  // identical kernel paths across runs
         cfg.batch_timeout_ms = 0.0;
-        cfg.num_workers = 2;
+        ThreadPool pool(2);
         ReplayPolicy policy(coll, seed);
-        InferenceServer server(fx.model, policy, cfg);
+        InferenceServer server(fx.model, policy, cfg, pool);
         std::vector<std::future<Tensor>> futures;
         for (const Tensor& a : acts) {
             futures.push_back(server.submit(a));  // auto ids 0, 1, 2, …
@@ -428,11 +434,12 @@ TEST(InferenceServer, SharedModelAcrossServersIsSafe)
     // server). Stateless layers make it safe by construction.
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 2;
-    cfg.num_workers = 2;
-    InferenceServer server_a(fx.model, policy, cfg);
-    InferenceServer server_b(fx.model, policy, cfg);
+    ThreadPool pool_a(2);
+    ThreadPool pool_b(2);
+    InferenceServer server_a(fx.model, policy, cfg, pool_a);
+    InferenceServer server_b(fx.model, policy, cfg, pool_b);
 
     std::vector<Tensor> acts;
     for (int i = 0; i < 32; ++i) {
@@ -463,7 +470,8 @@ TEST(InferenceServer, ShutdownWithEmptyQueueIsClean)
 {
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServer server(fx.model, policy);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, {}, pool);
     EXPECT_TRUE(server.running());
     server.shutdown();
     EXPECT_FALSE(server.running());
@@ -477,10 +485,11 @@ TEST(InferenceServer, ShutdownDrainsQueuedRequests)
 {
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 4;
     cfg.batch_timeout_ms = 50.0;  // requests are queued at shutdown
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, cfg, pool);
     std::vector<std::future<Tensor>> futures;
     for (int i = 0; i < 6; ++i) {
         futures.push_back(server.submit(fx.sample_activation()));
@@ -499,9 +508,10 @@ TEST(InferenceServer, WrongSizeSubmitFailsOnlyThatFuture)
     Fixture fx;
     core::NoiseCollection coll = fx.collection(1);
     ReplayPolicy policy(coll, kSeed);
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 1;
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, cfg, pool);
 
     auto bad = server.submit(Tensor::zeros(Shape({3})));
     expect_code(bad, ServingErrorCode::kInvalidShape);
@@ -516,7 +526,8 @@ TEST(InferenceServer, Rank4FirstSubmitIsRejectedCleanly)
     // rank-4 (already batched) tensor cannot grow a batch dim.
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServer server(fx.model, policy);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, {}, pool);
     auto bad = server.submit(
         Tensor::zeros(Shape({1, fx.act_shape[1], fx.act_shape[2],
                              fx.act_shape[3]})));
@@ -533,10 +544,11 @@ TEST(InferenceServer, ConfiguredShapePinsTheContract)
     // footgun the config field exists to close).
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.sample_shape =
         Shape({fx.act_shape[1], fx.act_shape[2], fx.act_shape[3]});
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, cfg, pool);
     auto bad = server.submit(Tensor::zeros(Shape({7})));
     expect_code(bad, ServingErrorCode::kInvalidShape);
     const Tensor logits = server.infer(fx.sample_activation());
@@ -555,7 +567,8 @@ TEST(InferenceServerDeath, Rank4CollectionRejectedAtConstruction)
     ReplayPolicy policy(coll, kSeed);
     EXPECT_EXIT(
         {
-            InferenceServer server(fx.model, policy, {});
+            ThreadPool pool(1);
+            InferenceServer server(fx.model, policy, {}, pool);
         },
         ::testing::ExitedWithCode(1), "rank 1-3");
 }
@@ -564,7 +577,8 @@ TEST(InferenceServer, SubmitAfterShutdownFailsTheFuture)
 {
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServer server(fx.model, policy);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, {}, pool);
     server.shutdown();
     auto future = server.submit(fx.sample_activation());
     // ServingError derives from std::runtime_error (old-style callers
@@ -582,9 +596,10 @@ TEST(InferenceServer, StatsTrackLatencyAndThroughput)
 {
     Fixture fx;
     NoNoisePolicy policy;
-    InferenceServerConfig cfg;
+    EndpointConfig cfg;
     cfg.max_batch = 2;
-    InferenceServer server(fx.model, policy, cfg);
+    ThreadPool pool(1);
+    InferenceServer server(fx.model, policy, cfg, pool);
     for (int i = 0; i < 4; ++i) {
         server.infer(fx.sample_activation());
     }

@@ -20,6 +20,7 @@
 #include "src/runtime/inference_server.h"
 #include "src/runtime/noise_policy.h"
 #include "src/runtime/serving_engine.h"
+#include "src/runtime/thread_pool.h"
 #include "src/split/split_model.h"
 #include "src/tensor/ops.h"
 #include "tests/test_util.h"
@@ -29,7 +30,6 @@ namespace {
 
 using runtime::EndpointConfig;
 using runtime::InferenceServer;
-using runtime::InferenceServerConfig;
 using runtime::NoNoisePolicy;
 using runtime::ReplayPolicy;
 using runtime::SamplePolicy;
@@ -126,7 +126,7 @@ TEST(ServingEngine, TwoModelsTwoPoliciesServedConcurrently)
     const std::uint64_t sample_seed = 0x5118ULL;
 
     ServingEngineConfig ec;
-    ec.num_workers = 2;
+    ec.threads_per_shard = 2;
     ServingEngine engine(ec);
     EndpointConfig ep;
     ep.max_batch = 1;
@@ -262,10 +262,11 @@ TEST(ServingEngine, ReplayPolicyBitExactAcrossServerEngineAndOffline)
     std::vector<Tensor> policy_logits;
     ReplayPolicy policy(coll, seed);
     {
-        InferenceServerConfig cfg;
+        EndpointConfig cfg;
         cfg.max_batch = 1;
         cfg.batch_timeout_ms = 0.0;
-        InferenceServer server(fx.model_a, policy, cfg);
+        ThreadPool pool(1);
+        InferenceServer server(fx.model_a, policy, cfg, pool);
         EXPECT_EQ(server.policy().name(), "replay");
         policy_logits = collect([&](const Tensor& a, std::uint64_t id) {
             return server.submit(a, id);

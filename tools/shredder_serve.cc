@@ -55,10 +55,12 @@ usage(const char* argv0)
         "\n"
         "options:\n"
         "  --endpoint name=path  register one bundle (repeatable)\n"
-        "  --shards N            pool shards endpoints are placed on\n"
-        "                        (default 1; manifest key shard= pins)\n"
-        "  --threads-per-shard N worker threads per shard (default:\n"
-        "                        derived from the worker budget)\n"
+        "  --shards N            pool shards endpoints are placed on,\n"
+        "                        1..1024 (default 1; manifest key\n"
+        "                        shard= pins)\n"
+        "  --threads-per-shard N worker threads per shard, 1..4096\n"
+        "                        (default 1); the serving threads are\n"
+        "                        shards x threads-per-shard\n"
         "  --queries N           self-test queries per endpoint "
         "(default 8)\n"
         "  --seed N              RNG seed of the self-test inputs\n"
@@ -109,7 +111,7 @@ main(int argc, char** argv)
     std::int64_t queries = 8;
     std::uint64_t seed = 7;
     long shards = 1;
-    long threads_per_shard = 0;
+    long threads_per_shard = 1;
     bool list_only = false;
     bool listen = false;
     std::string listen_host;
@@ -145,8 +147,8 @@ main(int argc, char** argv)
                 return usage(argv[0]);
             }
             threads_per_shard = std::atol(argv[++i]);
-            if (threads_per_shard < 0 || threads_per_shard > 4096) {
-                std::fprintf(stderr, "--threads-per-shard wants 0..4096\n");
+            if (threads_per_shard < 1 || threads_per_shard > 4096) {
+                std::fprintf(stderr, "--threads-per-shard wants 1..4096\n");
                 return usage(argv[0]);
             }
         } else if (arg == "--queries") {
