@@ -194,15 +194,12 @@ cpu_model()
     return "unknown";
 }
 
-/**
- * `git describe --always --dirty` of the working directory's checkout,
- * or "unknown" outside one: names the source a run measured.
- */
+/** A shell command's stdout, trailing whitespace trimmed. */
 inline std::string
-git_describe()
+command_output(const char* command)
 {
     std::string out;
-    FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r");
+    FILE* pipe = popen(command, "r");
     if (pipe != nullptr) {
         char buf[128];
         while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
@@ -213,6 +210,34 @@ git_describe()
     while (!out.empty() &&
            std::isspace(static_cast<unsigned char>(out.back())) != 0) {
         out.pop_back();
+    }
+    return out;
+}
+
+/**
+ * `git describe --always --dirty` of the working directory's checkout,
+ * or "unknown" outside one: names the source a run measured. An
+ * uncommitted tree reads `<parent>-dirty`, which names no source, so it
+ * gets `+diff:` and the blob hash of its source diff (written to no
+ * object store): after the commit lands, `git diff --no-color
+ * --no-ext-diff <parent> <commit> -- ':/src' ':/bench' ':/tools' | git
+ * hash-object --stdin` prints the same hash if the commit holds the
+ * measured source.
+ */
+inline std::string
+git_describe()
+{
+    std::string out =
+        command_output("git describe --always --dirty 2>/dev/null");
+    const std::string dirty = "-dirty";
+    if (out.size() > dirty.size() &&
+        out.compare(out.size() - dirty.size(), dirty.size(), dirty) == 0) {
+        const std::string diff = command_output(
+            "git diff --no-color --no-ext-diff HEAD -- ':/src' ':/bench' "
+            "':/tools' 2>/dev/null | git hash-object --stdin 2>/dev/null");
+        if (!diff.empty()) {
+            out += "+diff:" + diff;
+        }
     }
     return out.empty() ? "unknown" : out;
 }

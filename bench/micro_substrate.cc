@@ -4,15 +4,17 @@
  *
  * Measures the compute substrate every other binary bottlenecks on —
  * GEMM across sizes that cross the cache hierarchy, all four transpose
- * combinations, conv forward/backward, the served SVHN cloud convs and
- * Laplace draw, end-to-end LeNet inference and the batched
- * `InferenceServer` — and writes `BENCH_substrate.json`
+ * combinations, conv forward/backward, the served SVHN cloud convs,
+ * cloud half and Laplace draw, end-to-end LeNet inference and the
+ * batched `InferenceServer` — and writes `BENCH_substrate.json`
  * (path = argv[1], default `BENCH_substrate.json`) so the perf
  * trajectory accumulates across PRs. A frozen copy of the seed's
- * k-blocked kernel runs alongside the packed kernel, and a frozen copy
- * of the per-element std::mt19937_64 draw alongside the bulk draw, so
- * every report carries its own baseline: `speedup` is measured, not
- * remembered.
+ * k-blocked kernel runs alongside the packed kernel, a frozen im2col +
+ * gemm conv alongside each served conv, and a frozen copy of the
+ * per-element std::mt19937_64 draw alongside the bulk draw, so every
+ * report carries its own baseline: `speedup` is measured, not
+ * remembered. The frozen conv and draw must also agree bit for bit
+ * with the code they time; the binary exits 1 when one does not.
  *
  * Honors SHREDDER_BENCH_FAST=1 (smaller sweep, shorter timing windows)
  * for CI smoke runs. See docs/PERFORMANCE.md for how to read the JSON.
@@ -23,6 +25,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -198,44 +201,135 @@ interleaved_median_seconds(const std::vector<std::function<void()>>& variants)
     return medians;
 }
 
+// ---------------------------------------------------------------------------
+// Frozen conv forward (Conv2d::forward before conv_gemm): per image, im2col
+// into a scratch lease, then gemm and the bias add. Kept verbatim as the
+// served convs' baseline; do not "fix".
+// ---------------------------------------------------------------------------
+
+Tensor
+frozen_conv_forward(nn::Conv2d& conv, const Tensor& x)
+{
+    const nn::Conv2dConfig& config = conv.config();
+    const Shape out_shape = conv.output_shape(x.shape());
+    const std::int64_t batch = x.shape()[0];
+    const std::int64_t in_c = x.shape()[1];
+    const std::int64_t in_h = x.shape()[2];
+    const std::int64_t in_w = x.shape()[3];
+    const std::int64_t out_c = out_shape[1];
+    const std::int64_t out_h = out_shape[2];
+    const std::int64_t out_w = out_shape[3];
+    const std::int64_t col_rows = in_c * config.kernel * config.kernel;
+    const std::int64_t col_cols = out_h * out_w;
+
+    Tensor y(out_shape);
+    const float* xp = x.data();
+    float* yp = y.data();
+    const float* wp = conv.weight().value.data();
+
+    parallel_for(0, batch, [&](std::int64_t n) {
+        ScratchLease col = ScratchArena::for_this_thread().acquire(
+            static_cast<std::size_t>(col_rows * col_cols));
+        im2col(xp + n * in_c * in_h * in_w, in_c, in_h, in_w,
+               config.kernel, config.kernel, config.stride,
+               config.stride, config.padding, config.padding,
+               col.data());
+        // out[Cout, OHOW] = W[Cout, col_rows] · col[col_rows, OHOW]
+        gemm(false, false, out_c, col_cols, col_rows, 1.0f, wp, col.data(),
+             0.0f, yp + n * out_c * col_cols);
+        if (config.bias) {
+            const float* bp = conv.bias().value.data();
+            float* orow = yp + n * out_c * col_cols;
+            for (std::int64_t c = 0; c < out_c; ++c) {
+                const float b = bp[c];
+                for (std::int64_t i = 0; i < col_cols; ++i) {
+                    orow[c * col_cols + i] += b;
+                }
+            }
+        }
+    });
+    return y;
+}
+
 struct ConvPoint
 {
     std::int64_t in_channels = 0;
+    std::int64_t extent = 0;
+    std::int64_t out_channels = 0;
     double fwd_us = 0.0;
+    double frozen_us = 0.0;
     double gflops = 0.0;
+    bool bit_identical = false;
+};
+
+struct CloudConvs
+{
+    std::vector<ConvPoint> points;
+    double cloud_forward_us = 0.0;
 };
 
 /**
- * Batch-1 forward of the two SVHN cloud convs after the Conv3 cut:
- * [1,48,8,8]→64 and [1,64,8,8]→64, 3×3, pad 1, in a forward-only
- * context as the server runs them.
+ * Batch-1 forward of the three SVHN cloud convs after the Conv3 cut —
+ * [1,48,8,8]→64, [1,64,8,8]→64 and [1,64,4,4]→16, 3×3, pad 1 — in a
+ * forward-only context as the server runs them, each against the
+ * frozen im2col + gemm forward; then the whole cloud half after the
+ * Conv3 cut at batch 1.
  */
-std::vector<ConvPoint>
-measure_svhn_cloud_convs()
+CloudConvs
+measure_svhn_cloud()
 {
+    struct Shape3
+    {
+        std::int64_t cin, extent, cout;
+    };
     Rng rng(3);
-    std::vector<ConvPoint> points;
-    for (const std::int64_t cin : {48, 64}) {
+    CloudConvs out;
+    for (const Shape3 s : {Shape3{48, 8, 64}, Shape3{64, 8, 64},
+                           Shape3{64, 4, 16}}) {
         nn::Conv2dConfig cfg;
-        cfg.in_channels = cin;
-        cfg.out_channels = 64;
+        cfg.in_channels = s.cin;
+        cfg.out_channels = s.cout;
         cfg.kernel = 3;
         cfg.padding = 1;
         nn::Conv2d conv(cfg, rng);
-        Tensor x = Tensor::normal(Shape({1, cin, 8, 8}), rng);
+        conv.bias().value = Tensor::normal(conv.bias().value.shape(), rng);
+        Tensor x = Tensor::normal(Shape({1, s.cin, s.extent, s.extent}), rng);
         nn::ExecutionContext ctx;
         ctx.set_retain_activations(false);
         ConvPoint p;
-        p.in_channels = cin;
-        p.fwd_us = interleaved_median_seconds({[&] {
-                       Tensor y = conv.forward(x, ctx, nn::Mode::kEval);
-                   }})[0] *
-                   1e6;
+        p.in_channels = s.cin;
+        p.extent = s.extent;
+        p.out_channels = s.cout;
+        const Tensor y = conv.forward(x, ctx, nn::Mode::kEval);
+        const Tensor frozen = frozen_conv_forward(conv, x);
+        p.bit_identical =
+            y.shape() == frozen.shape() &&
+            std::memcmp(y.data(), frozen.data(),
+                        sizeof(float) * static_cast<std::size_t>(y.size())) ==
+                0;
+        const std::vector<double> seconds = interleaved_median_seconds({
+            [&] { Tensor t = conv.forward(x, ctx, nn::Mode::kEval); },
+            [&] { Tensor t = frozen_conv_forward(conv, x); },
+        });
+        p.fwd_us = seconds[0] * 1e6;
+        p.frozen_us = seconds[1] * 1e6;
         p.gflops = gflops(2.0 * static_cast<double>(conv.macs(x.shape())),
                           p.fwd_us * 1e-6);
-        points.push_back(p);
+        out.points.push_back(p);
     }
-    return points;
+
+    Rng net_rng(1234);
+    const std::unique_ptr<nn::Sequential> net =
+        models::make_network("svhn", net_rng);
+    const split::SplitModel model(*net, split::conv_cut_points(*net).at(3));
+    const Tensor act = Tensor::normal(Shape({1, 48, 16, 16}), net_rng);
+    nn::ExecutionContext ctx;
+    ctx.set_retain_activations(false);
+    out.cloud_forward_us = interleaved_median_seconds({[&] {
+                               Tensor t = model.cloud_forward(act, ctx);
+                           }})[0] *
+                           1e6;
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -562,29 +656,48 @@ main(int argc, char** argv)
     json.value(conv.bwd_ms);
     json.end_object();
 
-    // --- SVHN cloud convs and the served Laplace draw ---
-    std::printf("\nSVHN cloud convs (batch 1, 3×3 pad 1, median of 7):\n");
+    // --- SVHN cloud convs and half, and the served Laplace draw ---
+    std::printf("\nSVHN cloud convs (batch 1, 3×3 pad 1, median of 7) vs "
+                "frozen im2col + gemm:\n");
+    const CloudConvs cloud = measure_svhn_cloud();
+    bool all_bit_identical = true;
     json.key("svhn_cloud_conv");
     json.begin_object();
     write_stamp(json);
     json.key("points");
     json.begin_array();
-    for (const ConvPoint& p : measure_svhn_cloud_convs()) {
-        std::printf("  [1,%lld,8,8]→64: %.1f us (%.2f GF/s)\n",
-                    static_cast<long long>(p.in_channels), p.fwd_us,
-                    p.gflops);
+    for (const ConvPoint& p : cloud.points) {
+        const std::string input = "[1," + std::to_string(p.in_channels) +
+                                  "," + std::to_string(p.extent) + "," +
+                                  std::to_string(p.extent) + "]";
+        std::printf("  %s→%lld: %.1f us (%.2f GF/s) vs frozen %.1f us "
+                    "(%.2fx), bit-identical: %s\n",
+                    input.c_str(), static_cast<long long>(p.out_channels),
+                    p.fwd_us, p.gflops, p.frozen_us, p.frozen_us / p.fwd_us,
+                    p.bit_identical ? "yes" : "NO");
+        all_bit_identical = all_bit_identical && p.bit_identical;
         json.begin_object();
         json.key("input");
-        json.value("[1," + std::to_string(p.in_channels) + ",8,8]");
+        json.value(input);
         json.key("out_channels");
-        json.value(64);
+        json.value(p.out_channels);
         json.key("fwd_us");
         json.value(p.fwd_us);
         json.key("gflops");
         json.value(p.gflops);
+        json.key("frozen_us");
+        json.value(p.frozen_us);
+        json.key("speedup");
+        json.value(p.frozen_us / p.fwd_us);
+        json.key("bit_identical");
+        json.value(p.bit_identical);
         json.end_object();
     }
     json.end_array();
+    std::printf("  cloud half after the Conv3 cut, batch 1: %.1f us\n",
+                cloud.cloud_forward_us);
+    json.key("cloud_forward_us");
+    json.value(cloud.cloud_forward_us);
     json.end_object();
 
     const DrawPoint draw = measure_laplace_draw();
@@ -610,6 +723,7 @@ main(int argc, char** argv)
     json.key("bit_identical");
     json.value(draw.bit_identical);
     json.end_object();
+    all_bit_identical = all_bit_identical && draw.bit_identical;
 
     // --- End-to-end model latency ---
     const double lenet_ms = measure_lenet_ms();
@@ -643,5 +757,10 @@ main(int argc, char** argv)
         return 1;
     }
     std::printf("\nwrote %s\n", json_path.c_str());
+    if (!all_bit_identical) {
+        std::fprintf(stderr, "a measured path differs from its frozen "
+                             "baseline bit for bit (see NO above)\n");
+        return 1;
+    }
     return 0;
 }

@@ -17,10 +17,11 @@ ReLU::forward(const Tensor& x, ExecutionContext& ctx, Mode /*mode*/) const
     Tensor y = x;
     float* p = y.data();
     const std::int64_t n = y.size();
+    // An unconditional store vectorizes and has no branch to mispredict;
+    // a NaN or -0.0 fails the test and keeps its bits, as std::max would
+    // not.
     for (std::int64_t i = 0; i < n; ++i) {
-        if (p[i] < 0.0f) {
-            p[i] = 0.0f;
-        }
+        p[i] = p[i] < 0.0f ? 0.0f : p[i];
     }
     if (ctx.retain_activations()) {
         ctx.state(this).cached = x;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Implementation of `Conv2d`: im2col lowering into the packed GEMM, with
- * per-thread scratch buffers.
+ * Implementation of `Conv2d`: the forward pass is one `conv_gemm` per
+ * image (no im2col matrix on the packed route); the backward pass lowers
+ * through im2col/col2im into `gemm`.
  */
 #include "src/nn/conv2d.h"
 
@@ -132,7 +133,6 @@ Conv2d::forward(const Tensor& x, ExecutionContext& ctx, Mode /*mode*/) const
     const std::int64_t out_c = out_shape[1];
     const std::int64_t out_h = out_shape[2];
     const std::int64_t out_w = out_shape[3];
-    const std::int64_t col_rows = in_c * config_.kernel * config_.kernel;
     const std::int64_t col_cols = out_h * out_w;
 
     Tensor y(out_shape);
@@ -141,20 +141,14 @@ Conv2d::forward(const Tensor& x, ExecutionContext& ctx, Mode /*mode*/) const
     const float* wp = weight_.value.data();
 
     parallel_for(0, batch, [&](std::int64_t n) {
-        // Per-thread scratch (not the context's arena): these chunks
-        // run on pool workers, each of which owns a private arena.
-        ScratchLease col = ScratchArena::for_this_thread().acquire(
-            static_cast<std::size_t>(col_rows * col_cols));
-        im2col(xp + n * in_c * in_h * in_w, in_c, in_h, in_w,
-               config_.kernel, config_.kernel, config_.stride,
-               config_.stride, config_.padding, config_.padding,
-               col.data());
-        // out[Cout, OHOW] = W[Cout, col_rows] · col[col_rows, OHOW]
-        gemm(false, false, out_c, col_cols, col_rows, 1.0f, wp, col.data(),
-             0.0f, yp + n * out_c * col_cols);
+        // out[Cout, OHOW] = W[Cout, Cin·K·K] · im2col(x[n]); conv_gemm
+        // draws its scratch from this thread's arena, so chunks on pool
+        // workers never share one.
+        float* orow = yp + n * out_c * col_cols;
+        conv_gemm(wp, out_c, xp + n * in_c * in_h * in_w, in_c, in_h, in_w,
+                  config_.kernel, config_.stride, config_.padding, orow);
         if (config_.bias) {
             const float* bp = bias_.value.data();
-            float* orow = yp + n * out_c * col_cols;
             for (std::int64_t c = 0; c < out_c; ++c) {
                 const float b = bp[c];
                 for (std::int64_t i = 0; i < col_cols; ++i) {

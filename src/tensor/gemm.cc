@@ -1,21 +1,25 @@
 /**
  * @file
- * Packed, register-tiled GEMM (GotoBLAS/BLIS-style loop nest).
+ * Register-tiled GEMM (GotoBLAS/BLIS-style loop nest), shared by plain
+ * matrix products and convolutions.
  *
  * Layout of the computation, outermost to innermost:
  *
  *   jc over n in NC   — B block sized for the last-level cache
  *   pc over k in KC   — pack op(B) block into NR-wide micro-panels
- *   ic over m in MC   — pack op(A) block into MR-wide micro-panels (L2)
+ *   ic over m in MC   — one row panel of op(A), the unit parallel_for splits
  *   jr over nc in NR  — one B micro-panel (kc×NR, lives in L1)
  *   ir over mc in MR  — micro-kernel: MR×NR register accumulators
  *
- * The packing step reads op(A)/op(B) through explicit row/column
- * strides, so all four transpose combinations share one kernel and
- * none materializes a full transposed copy: scratch is bounded by
- * O(MC·KC + NC·KC) floats per thread and reused across calls via
- * `ScratchArena`. Large-m problems split their MC row blocks with
- * `parallel_for` (each worker packs A into its own arena; the shared
+ * Only B is packed, by a packer the caller passes: `gemm`'s reads
+ * op(B) through explicit row/column strides, and `conv_gemm`'s gathers
+ * im2col(image) straight from a zero-padded copy of the image. The
+ * micro-kernels read op(A) in place through a row stride and a k
+ * stride. So the four transpose combinations and the convolution share
+ * one loop nest, none materializes a transposed or unfolded copy, and
+ * scratch is bounded by O(NC·KC) floats per thread (plus a convolution's
+ * padded image), reused across calls via `ScratchArena`. Large-m
+ * problems split their MC row panels with `parallel_for` (the shared
  * packed B is read-only).
  *
  * Two micro-kernels are compiled and picked once at runtime: a 6×8
@@ -36,6 +40,8 @@
 
 #include "src/runtime/logging.h"
 #include "src/runtime/thread_pool.h"
+#include "src/tensor/gemm_tile.h"
+#include "src/tensor/im2col.h"
 #include "src/tensor/scratch.h"
 
 namespace shredder {
@@ -46,7 +52,7 @@ constexpr std::int64_t kMr = 6;     ///< micro-tile rows
 constexpr std::int64_t kNrSse = 8;  ///< micro-tile columns, SSE baseline
 constexpr std::int64_t kNrAvx = 16; ///< micro-tile columns, AVX2+FMA path
 constexpr std::int64_t kKc = 256;   ///< k block: micro-panels stay in L1
-constexpr std::int64_t kMc = 96;    ///< m block: packed A block stays in L2
+constexpr std::int64_t kMc = 96;    ///< m block: the row panel parallel_for splits
 constexpr std::int64_t kNc = 2048;  ///< n block: packed B block stays in LLC
 
 /** Problems below this flop-ish count skip packing entirely. */
@@ -59,6 +65,17 @@ std::int64_t
 round_up(std::int64_t v, std::int64_t to)
 {
     return (v + to - 1) / to * to;
+}
+
+/**
+ * True when a shape takes the strided fallback: too small to amortize
+ * packing, or skinny (m < kMr or n < kNr) so that the zero-padded tile
+ * would waste most of its flops.
+ */
+bool
+takes_small_path(std::int64_t m, std::int64_t n, std::int64_t k)
+{
+    return m < kMr || n < kNrSse || m * n * k <= kSmallWork;
 }
 
 /**
@@ -110,73 +127,66 @@ pack_b(std::int64_t kc, std::int64_t nc, std::int64_t nr, const float* b,
 }
 
 /**
- * Pack an mc×kc block of op(A) into micro-panels of kMr rows.
- * Element (i, p) of the block lives at `a[i*rs + p*cs]`; panels are
- * contiguous in p with zero-filled tail rows.
+ * Pointer to row i of an mr-row tile of A whose rows lie `a_rs` apart.
+ * A row past the tile's last real row re-reads that row, so the kernel
+ * always runs all kMr rows; their accumulators are never written back.
  */
-void
-pack_a(std::int64_t mc, std::int64_t kc, const float* a, std::int64_t rs,
-       std::int64_t cs, float* out)
+inline const float*
+tile_row(const float* a, std::int64_t a_rs, std::int64_t i, std::int64_t mr)
 {
-    for (std::int64_t i0 = 0; i0 < mc; i0 += kMr) {
-        const std::int64_t h = std::min(kMr, mc - i0);
-        float* panel = out + i0 * kc;
-        if (rs == 1 && h == kMr) {
-            // op(A) columns contiguous in i (transposed A).
-            const float* src = a + i0;
-            for (std::int64_t p = 0; p < kc; ++p) {
-                for (std::int64_t i = 0; i < kMr; ++i) {
-                    panel[p * kMr + i] = src[p * cs + i];
-                }
-            }
-        } else {
-            // Plain A: kMr sequential row streams advance together.
-            for (std::int64_t p = 0; p < kc; ++p) {
-                for (std::int64_t i = 0; i < h; ++i) {
-                    panel[p * kMr + i] = a[(i0 + i) * rs + p * cs];
-                }
-                for (std::int64_t i = h; i < kMr; ++i) {
-                    panel[p * kMr + i] = 0.0f;
-                }
-            }
-        }
-    }
+    return a + std::min(i, mr - 1) * a_rs;
 }
 
-using MicroKernelFn = void (*)(std::int64_t kc, const float* ap,
+/**
+ * C[0..mr)×[0..nr) += alpha · Σ_p op(A)[i][p]·bp[p][j] over one k
+ * block, where op(A)[i][p] = a[i*a_rs + p*a_cs] is read in place and
+ * `bp` is a zero-padded packed B micro-panel.
+ */
+using MicroKernelFn = void (*)(std::int64_t kc, const float* a,
+                               std::int64_t a_rs, std::int64_t a_cs,
                                const float* bp, float alpha, float* c,
                                std::int64_t ldc, std::int64_t mr,
                                std::int64_t nr);
 
 /**
  * Portable baseline, the 6×8 tile (12 XMM accumulators under plain
- * -O3): C[0..mr)×[0..nr) += alpha · Σ_p ap[p]·bp[p]. `ap`/`bp` are
- * zero-padded micro-panels, so the accumulation always runs the full
- * kMr×kNrSse shape and only the write-back honors mr/nr.
+ * -O3). The packed B panel is zero-padded, so the accumulation always
+ * runs the full kMr×kNrSse shape and only the write-back honors mr/nr.
  *
  * The unroll pragmas matter: full unrolling of the i/j loops lets
- * GCC's scalar-replacement pass promote `acc` to vector registers —
- * without it the tile round-trips through the stack every iteration
- * and the kernel runs ~3× slower than the seed loop.
+ * GCC's scalar-replacement pass promote `acc` (and the row pointers) to
+ * registers — without it the tile round-trips through the stack every
+ * iteration and the kernel runs ~3× slower than the seed loop. So does
+ * the empty asm in the k loop (see there).
  */
 void
-micro_kernel_sse(std::int64_t kc, const float* __restrict__ ap,
+micro_kernel_sse(std::int64_t kc, const float* __restrict__ a,
+                 std::int64_t a_rs, std::int64_t a_cs,
                  const float* __restrict__ bp, float alpha,
                  float* __restrict__ c, std::int64_t ldc, std::int64_t mr,
                  std::int64_t nr)
 {
+    const float* row[kMr];
+#pragma GCC unroll 8
+    for (int i = 0; i < kMr; ++i) {
+        row[i] = tile_row(a, a_rs, i, mr);
+    }
     float acc[kMr][kNrSse] = {};
     for (std::int64_t p = 0; p < kc; ++p) {
-        const float* __restrict__ av = ap + p * kMr;
         const float* __restrict__ bv = bp + p * kNrSse;
+        const std::int64_t off = p * a_cs;
 #pragma GCC unroll 8
         for (int i = 0; i < kMr; ++i) {
-            const float a = av[i];
+            const float av = row[i][off];
 #pragma GCC unroll 8
             for (int j = 0; j < kNrSse; ++j) {
-                acc[i][j] += a * bv[j];
+                acc[i][j] += av * bv[j];
             }
         }
+        // Keeps GCC from vectorizing this loop over p: for a unit k
+        // stride it would turn the tile into in-order reductions across
+        // k steps, which ran ~4× slower than the tile itself.
+        asm("");
     }
     if (mr == kMr && nr == kNrSse) {
 #pragma GCC unroll 8
@@ -209,43 +219,51 @@ write_row(float* c, __m256 alpha, __m256 lo, __m256 hi)
  * 6×16 tile in AVX2+FMA intrinsics, selected at runtime so the default
  * portable build still exploits modern x86 without -march flags.
  * Twelve YMM accumulators (two per row) stay in registers; each k step
- * is two B loads, six A broadcasts and twelve FMAs. Per element that
- * is acc = fma(a, b, acc) from zero in k order, then
- * c = fma(alpha, acc, c) — vector FMAs for a full tile, `std::fma` for
- * an edge tile — which tests/test_gemm.cc pins bit for bit.
+ * is two B loads, six A broadcasts (one per row pointer, at the same k
+ * offset) and twelve FMAs. Per element that is acc = fma(a, b, acc)
+ * from zero in k order, then c = fma(alpha, acc, c) — vector FMAs for a
+ * full tile, `std::fma` for an edge tile — which tests/test_gemm.cc
+ * pins bit for bit.
  */
 __attribute__((target("avx2,fma"))) void
-micro_kernel_avx2(std::int64_t kc, const float* ap, const float* bp,
-                  float alpha, float* c, std::int64_t ldc, std::int64_t mr,
-                  std::int64_t nr)
+micro_kernel_avx2(std::int64_t kc, const float* a, std::int64_t a_rs,
+                  std::int64_t a_cs, const float* bp, float alpha, float* c,
+                  std::int64_t ldc, std::int64_t mr, std::int64_t nr)
 {
+    const float* a0 = tile_row(a, a_rs, 0, mr);
+    const float* a1 = tile_row(a, a_rs, 1, mr);
+    const float* a2 = tile_row(a, a_rs, 2, mr);
+    const float* a3 = tile_row(a, a_rs, 3, mr);
+    const float* a4 = tile_row(a, a_rs, 4, mr);
+    const float* a5 = tile_row(a, a_rs, 5, mr);
     __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
     __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
     __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
     __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
     __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
     __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-    for (std::int64_t p = 0; p < kc; ++p, ap += kMr, bp += kNrAvx) {
+    const std::int64_t end = kc * a_cs;
+    for (std::int64_t off = 0; off != end; off += a_cs, bp += kNrAvx) {
         const __m256 b0 = _mm256_loadu_ps(bp);
         const __m256 b1 = _mm256_loadu_ps(bp + 8);
-        __m256 a = _mm256_broadcast_ss(ap);
-        c00 = _mm256_fmadd_ps(a, b0, c00);
-        c01 = _mm256_fmadd_ps(a, b1, c01);
-        a = _mm256_broadcast_ss(ap + 1);
-        c10 = _mm256_fmadd_ps(a, b0, c10);
-        c11 = _mm256_fmadd_ps(a, b1, c11);
-        a = _mm256_broadcast_ss(ap + 2);
-        c20 = _mm256_fmadd_ps(a, b0, c20);
-        c21 = _mm256_fmadd_ps(a, b1, c21);
-        a = _mm256_broadcast_ss(ap + 3);
-        c30 = _mm256_fmadd_ps(a, b0, c30);
-        c31 = _mm256_fmadd_ps(a, b1, c31);
-        a = _mm256_broadcast_ss(ap + 4);
-        c40 = _mm256_fmadd_ps(a, b0, c40);
-        c41 = _mm256_fmadd_ps(a, b1, c41);
-        a = _mm256_broadcast_ss(ap + 5);
-        c50 = _mm256_fmadd_ps(a, b0, c50);
-        c51 = _mm256_fmadd_ps(a, b1, c51);
+        __m256 av = _mm256_broadcast_ss(a0 + off);
+        c00 = _mm256_fmadd_ps(av, b0, c00);
+        c01 = _mm256_fmadd_ps(av, b1, c01);
+        av = _mm256_broadcast_ss(a1 + off);
+        c10 = _mm256_fmadd_ps(av, b0, c10);
+        c11 = _mm256_fmadd_ps(av, b1, c11);
+        av = _mm256_broadcast_ss(a2 + off);
+        c20 = _mm256_fmadd_ps(av, b0, c20);
+        c21 = _mm256_fmadd_ps(av, b1, c21);
+        av = _mm256_broadcast_ss(a3 + off);
+        c30 = _mm256_fmadd_ps(av, b0, c30);
+        c31 = _mm256_fmadd_ps(av, b1, c31);
+        av = _mm256_broadcast_ss(a4 + off);
+        c40 = _mm256_fmadd_ps(av, b0, c40);
+        c41 = _mm256_fmadd_ps(av, b1, c41);
+        av = _mm256_broadcast_ss(a5 + off);
+        c50 = _mm256_fmadd_ps(av, b0, c50);
+        c51 = _mm256_fmadd_ps(av, b1, c51);
     }
     if (mr == kMr && nr == kNrAvx) {
         const __m256 va = _mm256_set1_ps(alpha);
@@ -278,7 +296,7 @@ micro_kernel_avx2(std::int64_t kc, const float* ap, const float* bp,
 }
 #endif
 
-/** Runtime-selected micro-kernel and its panel width. */
+/** A micro-kernel and its panel width. */
 struct KernelChoice
 {
     MicroKernelFn fn;
@@ -286,28 +304,26 @@ struct KernelChoice
 };
 
 KernelChoice
-select_kernel()
+kernel_for(gemm_detail::Tile tile)
 {
 #if defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    if (tile == gemm_detail::Tile::kAvx2) {
         return {micro_kernel_avx2, kNrAvx};
     }
+#else
+    SHREDDER_CHECK(tile == gemm_detail::Tile::kPortable,
+                   "the AVX2 GEMM tile needs an x86 build");
 #endif
     return {micro_kernel_sse, kNrSse};
 }
 
-const KernelChoice&
-kernel_choice()
-{
-    static const KernelChoice choice = select_kernel();
-    return choice;
-}
-
 /**
- * Strided fallback for problems too small to amortize packing, and
- * for skinny shapes (m < kMr or n < kNr) where the zero-padded tile
- * would waste most of its flops. Picks saxpy (i-p-j) or dot (i-j-p)
- * order so the innermost loop is contiguous either way.
+ * Strided fallback for the shapes `takes_small_path` names. Picks saxpy
+ * (i-p-j) or dot (i-j-p) order so the innermost loop is contiguous
+ * either way. The dot order runs four columns at once, each its own
+ * chain of double adds in p order: a float×float product is exact in
+ * double, so every sum is the one-column loop's, and the four chains
+ * overlap instead of waiting on each add's latency.
  */
 void
 gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -328,33 +344,51 @@ gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         return;
     }
     for (std::int64_t i = 0; i < m; ++i) {
-        for (std::int64_t j = 0; j < n; ++j) {
+        const float* arow = a + i * a_rs;
+        float* crow = c + i * n;
+        std::int64_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            const float* b0 = b + j * b_cs;
+            const float* b1 = b0 + b_cs;
+            const float* b2 = b1 + b_cs;
+            const float* b3 = b2 + b_cs;
+            double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+            for (std::int64_t p = 0; p < k; ++p) {
+                const double av = arow[p * a_cs];
+                acc0 += av * b0[p * b_rs];
+                acc1 += av * b1[p * b_rs];
+                acc2 += av * b2[p * b_rs];
+                acc3 += av * b3[p * b_rs];
+            }
+            crow[j] += alpha * static_cast<float>(acc0);
+            crow[j + 1] += alpha * static_cast<float>(acc1);
+            crow[j + 2] += alpha * static_cast<float>(acc2);
+            crow[j + 3] += alpha * static_cast<float>(acc3);
+        }
+        for (; j < n; ++j) {
             const float* bcol = b + j * b_cs;
             double acc = 0.0;
-            if (a_cs == 1 && b_rs == 1) {
-                const float* arow = a + i * a_rs;
-                for (std::int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(arow[p]) * bcol[p];
-                }
-            } else {
-                for (std::int64_t p = 0; p < k; ++p) {
-                    acc += static_cast<double>(a[i * a_rs + p * a_cs]) *
-                           bcol[p * b_rs];
-                }
+            for (std::int64_t p = 0; p < k; ++p) {
+                acc += static_cast<double>(arow[p * a_cs]) * bcol[p * b_rs];
             }
-            c[i * n + j] += alpha * static_cast<float>(acc);
+            crow[j] += alpha * static_cast<float>(acc);
         }
     }
 }
 
-/** The blocked path; see the file comment for the loop nest. */
+/**
+ * The blocked path; see the file comment for the loop nest.
+ * `pack_b_block(pc, kc, jc, nc, nr, out)` writes the kc×nc block of
+ * op(B) at row pc, column jc into `out` as `pack_b` lays it out.
+ */
+template <typename PackB>
 void
-gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-             const float* a, std::int64_t a_rs, std::int64_t a_cs,
-             const float* b, std::int64_t b_rs, std::int64_t b_cs, float* c)
+gemm_blocked(const KernelChoice& kern, std::int64_t m, std::int64_t n,
+             std::int64_t k, float alpha, const float* a, std::int64_t a_rs,
+             std::int64_t a_cs, const PackB& pack_b_block, float* c)
 {
-    const KernelChoice& kern = kernel_choice();
     const std::int64_t knr = kern.nr;
+    const std::int64_t num_blocks = (m + kMc - 1) / kMc;
     ScratchArena& arena = ScratchArena::for_this_thread();
     for (std::int64_t jc = 0; jc < n; jc += kNc) {
         const std::int64_t nc = std::min(kNc, n - jc);
@@ -362,26 +396,19 @@ gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
             const std::int64_t kc = std::min(kKc, k - pc);
             ScratchLease bpack = arena.acquire(
                 static_cast<std::size_t>(round_up(nc, knr) * kc));
-            pack_b(kc, nc, knr, b + pc * b_rs + jc * b_cs, b_rs, b_cs,
-                   bpack.data());
+            pack_b_block(pc, kc, jc, nc, knr, bpack.data());
 
             const float* bpack_data = bpack.data();
-            const std::int64_t num_blocks = (m + kMc - 1) / kMc;
             auto row_block = [&](std::int64_t blk) {
                 const std::int64_t ic = blk * kMc;
                 const std::int64_t mc = std::min(kMc, m - ic);
-                // Workers pack A into their own thread's arena.
-                ScratchLease apack =
-                    ScratchArena::for_this_thread().acquire(
-                        static_cast<std::size_t>(round_up(mc, kMr) * kc));
-                pack_a(mc, kc, a + ic * a_rs + pc * a_cs, a_rs, a_cs,
-                       apack.data());
+                const float* ablock = a + ic * a_rs + pc * a_cs;
                 for (std::int64_t jr = 0; jr < nc; jr += knr) {
                     const std::int64_t nr = std::min(knr, nc - jr);
                     const float* bpanel = bpack_data + jr * kc;
                     for (std::int64_t ir = 0; ir < mc; ir += kMr) {
-                        kern.fn(kc, apack.data() + ir * kc, bpanel, alpha,
-                                c + (ic + ir) * n + jc + jr, n,
+                        kern.fn(kc, ablock + ir * a_rs, a_rs, a_cs, bpanel,
+                                alpha, c + (ic + ir) * n + jc + jr, n,
                                 std::min(kMr, mc - ir), nr);
                     }
                 }
@@ -398,6 +425,92 @@ gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
             }
         }
     }
+}
+
+/**
+ * B panels of one convolution, op(B) = im2col(image), packed straight
+ * from `image`: a zero-padded copy of the input holding the rows and
+ * columns some receptive field reads (see `conv_gemm`), `img_h`×`img_w`
+ * per channel, in which adjacent outputs lie `step` apart. Element
+ * (r, j) of im2col, with r = (c, kh, kw) and j = (oh, ow), lives at
+ * image[((c·img_h + kh)·img_w + kw) + (oh·step·img_w + ow·step)].
+ */
+struct ConvPanels
+{
+    const float* image;
+    std::int64_t kernel;
+    std::int64_t step;
+    std::int64_t img_h;
+    std::int64_t img_w;
+    std::int64_t out_w;
+
+    void
+    operator()(std::int64_t pc, std::int64_t kc, std::int64_t jc,
+               std::int64_t nc, std::int64_t nr, float* out) const
+    {
+        // Row offsets of this k block, walking r = (c, kh, kw) in order.
+        std::int64_t row_off[kKc];
+        std::int64_t kw = pc % kernel;
+        std::int64_t kh = pc / kernel % kernel;
+        std::int64_t c = pc / (kernel * kernel);
+        for (std::int64_t p = 0; p < kc; ++p) {
+            row_off[p] = (c * img_h + kh) * img_w + kw;
+            if (++kw == kernel) {
+                kw = 0;
+                if (++kh == kernel) {
+                    kh = 0;
+                    ++c;
+                }
+            }
+        }
+        // Each panel's columns fall into runs whose sources are
+        // adjacent (one output row's stretch when step is 1); every
+        // panel row copies the same runs from its own row offset.
+        struct Run
+        {
+            std::int64_t dst, src, len;
+        };
+        for (std::int64_t j0 = 0; j0 < nc; j0 += nr) {
+            const std::int64_t w = std::min(nr, nc - j0);
+            Run runs[kNrAvx];
+            std::int64_t num_runs = 0;
+            for (std::int64_t j = 0; j < w; ++j) {
+                const std::int64_t col = jc + j0 + j;
+                const std::int64_t src =
+                    (col / out_w * img_w + col % out_w) * step;
+                Run* last = num_runs > 0 ? &runs[num_runs - 1] : nullptr;
+                if (last != nullptr && last->src + last->len == src) {
+                    ++last->len;
+                } else {
+                    runs[num_runs++] = {j, src, 1};
+                }
+            }
+            float* panel = out + j0 * kc;
+            for (std::int64_t p = 0; p < kc; ++p) {
+                const float* src = image + row_off[p];
+                float* dst = panel + p * nr;
+                for (std::int64_t r = 0; r < num_runs; ++r) {
+                    const Run& run = runs[r];
+                    for (std::int64_t t = 0; t < run.len; ++t) {
+                        dst[run.dst + t] = src[run.src + t];
+                    }
+                }
+                for (std::int64_t j = w; j < nr; ++j) {
+                    dst[j] = 0.0f;
+                }
+            }
+        }
+    }
+};
+
+/** x·y, or a check failure when it overflows (geometry is untrusted). */
+std::int64_t
+checked_mul(std::int64_t x, std::int64_t y)
+{
+    std::int64_t out = 0;
+    SHREDDER_CHECK(!__builtin_mul_overflow(x, y, &out),
+                   "conv geometry overflows: ", x, " x ", y);
+    return out;
 }
 
 /**
@@ -553,10 +666,26 @@ gemm_s8(std::int64_t m, std::int64_t n, std::int64_t k,
     }
 }
 
+namespace gemm_detail {
+
+Tile
+host_tile()
+{
+    static const Tile tile = [] {
+#if defined(__x86_64__) || defined(__i386__)
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+            return Tile::kAvx2;
+        }
+#endif
+        return Tile::kPortable;
+    }();
+    return tile;
+}
+
 void
-gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-     std::int64_t k, float alpha, const float* a, const float* b, float beta,
-     float* c)
+gemm_on_tile(Tile tile, bool trans_a, bool trans_b, std::int64_t m,
+             std::int64_t n, std::int64_t k, float alpha, const float* a,
+             const float* b, float beta, float* c)
 {
     SHREDDER_CHECK(m >= 0 && n >= 0 && k >= 0, "negative gemm dims");
     // Scale/zero C first so the kernels can be pure accumulation.
@@ -578,11 +707,110 @@ gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     const std::int64_t b_rs = trans_b ? 1 : n;
     const std::int64_t b_cs = trans_b ? k : 1;
 
-    if (m < kMr || n < kNrSse || m * n * k <= kSmallWork) {
+    if (takes_small_path(m, n, k)) {
         gemm_small(m, n, k, alpha, a, a_rs, a_cs, b, b_rs, b_cs, c);
         return;
     }
-    gemm_blocked(m, n, k, alpha, a, a_rs, a_cs, b, b_rs, b_cs, c);
+    gemm_blocked(kernel_for(tile), m, n, k, alpha, a, a_rs, a_cs,
+                 [&](std::int64_t pc, std::int64_t kc, std::int64_t jc,
+                     std::int64_t nc, std::int64_t nr, float* out) {
+                     pack_b(kc, nc, nr, b + pc * b_rs + jc * b_cs, b_rs,
+                            b_cs, out);
+                 },
+                 c);
+}
+
+}  // namespace gemm_detail
+
+void
+gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+     std::int64_t k, float alpha, const float* a, const float* b, float beta,
+     float* c)
+{
+    gemm_detail::gemm_on_tile(gemm_detail::host_tile(), trans_a, trans_b, m,
+                              n, k, alpha, a, b, beta, c);
+}
+
+void
+conv_gemm(const float* weights, std::int64_t out_c, const float* image,
+          std::int64_t in_c, std::int64_t in_h, std::int64_t in_w,
+          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
+          float* out)
+{
+    SHREDDER_CHECK(out_c > 0 && in_c > 0 && in_h > 0 && in_w > 0 &&
+                       kernel > 0 && stride > 0 && pad >= 0,
+                   "bad conv_gemm geometry");
+    const std::int64_t out_h = conv_out_extent(in_h, kernel, stride, pad);
+    const std::int64_t out_w = conv_out_extent(in_w, kernel, stride, pad);
+    SHREDDER_CHECK(out_h > 0 && out_w > 0, "conv_gemm output collapses");
+    // out[out_c, OH·OW] = W[out_c, k] · im2col[k, OH·OW], as gemm with
+    // beta = 0 computes it: C zeroed, then accumulated.
+    const std::int64_t k = checked_mul(checked_mul(kernel, kernel), in_c);
+    const std::int64_t n = checked_mul(out_h, out_w);
+    std::fill(out, out + checked_mul(out_c, n), 0.0f);
+    ScratchArena& arena = ScratchArena::for_this_thread();
+
+    if (takes_small_path(out_c, n, k)) {
+        ScratchLease col = arena.acquire(
+            static_cast<std::size_t>(checked_mul(k, n)));
+        im2col(image, in_c, in_h, in_w, kernel, kernel, stride, stride, pad,
+               pad, col.data());
+        gemm_small(out_c, n, k, 1.0f, weights, k, 1, col.data(), n, 1, out);
+        return;
+    }
+
+    // Copy the image once, zero-padded, keeping only rows and columns
+    // some receptive field reads. Adjacent outputs lie step = min(stride,
+    // K) apart in the copy, so row t of the copy is input row
+    // (t / step)·stride + t % step − pad: for stride ≤ K every padded
+    // row t − pad, and for stride > K only the K rows under each
+    // output, so the copy never outgrows the im2col matrix it replaces.
+    const std::int64_t step = std::min(stride, kernel);
+    const std::int64_t img_h = (out_h - 1) * step + kernel;
+    const std::int64_t img_w = (out_w - 1) * step + kernel;
+    ScratchLease padded = arena.acquire(static_cast<std::size_t>(
+        checked_mul(checked_mul(img_h, img_w), in_c)));
+    float* dst = padded.data();
+    for (std::int64_t c = 0; c < in_c; ++c) {
+        const float* plane = image + c * in_h * in_w;
+        for (std::int64_t t = 0, q = 0, r = 0; t < img_h;
+             ++t, dst += img_w) {
+            const std::int64_t ih = q * stride + r - pad;
+            if (++r == step) {
+                r = 0;
+                ++q;
+            }
+            if (ih < 0 || ih >= in_h) {
+                std::fill(dst, dst + img_w, 0.0f);
+                continue;
+            }
+            const float* src = plane + ih * in_w;
+            if (step == stride) {
+                // Column u reads input column u − pad: zeros, one
+                // contiguous stretch, zeros.
+                const std::int64_t lo = std::min(pad, img_w);
+                const std::int64_t hi = std::max(lo, std::min(pad + in_w, img_w));
+                std::fill(dst, dst + lo, 0.0f);
+                if (hi > lo) {
+                    std::copy(src + (lo - pad), src + (hi - pad), dst + lo);
+                }
+                std::fill(dst + hi, dst + img_w, 0.0f);
+                continue;
+            }
+            for (std::int64_t u = 0, qu = 0, ru = 0; u < img_w; ++u) {
+                const std::int64_t iw = qu * stride + ru - pad;
+                if (++ru == step) {
+                    ru = 0;
+                    ++qu;
+                }
+                dst[u] = iw >= 0 && iw < in_w ? src[iw] : 0.0f;
+            }
+        }
+    }
+    gemm_blocked(kernel_for(gemm_detail::host_tile()), out_c, n, k, 1.0f,
+                 weights, k, 1,
+                 ConvPanels{padded.data(), kernel, step, img_h, img_w, out_w},
+                 out);
 }
 
 }  // namespace shredder

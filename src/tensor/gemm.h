@@ -1,16 +1,19 @@
 /**
  * @file
- * Single-precision general matrix multiply.
+ * Single-precision general matrix multiply, and convolution as one.
  *
- * One routine, BLAS-style. The implementation is a packed,
- * register-tiled kernel (GotoBLAS/BLIS loop nest): operands are packed
- * into cache-resident micro-panels through explicit strides — so the
- * four transpose combinations share one kernel without materializing
- * transposed copies — and an MR×NR micro-kernel accumulates in
- * registers. Large-m calls split row panels with `parallel_for`
- * (serial on a pool worker); skinny/small problems take a strided
- * fallback. See docs/PERFORMANCE.md for blocking parameters and
- * measured throughput.
+ * `gemm` is BLAS-style; `conv_gemm` is one image's convolution as the
+ * same product. The implementation is a register-tiled kernel
+ * (GotoBLAS/BLIS loop nest): op(B) is packed into cache-resident
+ * micro-panels through explicit strides — or, for a convolution,
+ * straight from the image, so no im2col matrix is written — and an
+ * MR×NR micro-kernel reads op(A) in place through strides and
+ * accumulates in registers. The four transpose combinations and the
+ * convolution share that one loop nest without materializing a
+ * transposed or unfolded copy. Large-m calls split row panels with
+ * `parallel_for` (serial on a pool worker); skinny/small problems take
+ * a strided fallback. See docs/PERFORMANCE.md for blocking parameters
+ * and measured throughput.
  */
 #ifndef SHREDDER_TENSOR_GEMM_H
 #define SHREDDER_TENSOR_GEMM_H
@@ -41,6 +44,33 @@ namespace shredder {
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, float alpha, const float* a, const float* b,
           float beta, float* c);
+
+/**
+ * out = W · im2col(image): one image's square-kernel convolution,
+ * without bias, as one GEMM.
+ *
+ * Bit for bit what `im2col` followed by
+ * `gemm(false, false, out_c, OH·OW, in_c·K², 1, weights, col, 0, out)`
+ * computes, and by the same route: a shape `gemm` would run on its
+ * strided fallback unfolds the image and runs that fallback; any other
+ * packs its B panels straight from a zero-padded copy of the image and
+ * reads the filter bank in place, so no im2col matrix is written.
+ *
+ * @param weights  Filter bank, row-major out_c × (in_c·K·K).
+ * @param out_c    Output channels (rows of the product).
+ * @param image    Input image, in_c × in_h × in_w contiguous.
+ * @param in_c     Input channels.
+ * @param in_h     Input height.
+ * @param in_w     Input width.
+ * @param kernel   Kernel extent K (both axes).
+ * @param stride   Stride (both axes).
+ * @param pad      Zero padding (both axes).
+ * @param out      Output, out_c × OH × OW contiguous (overwritten).
+ */
+void conv_gemm(const float* weights, std::int64_t out_c, const float* image,
+               std::int64_t in_c, std::int64_t in_h, std::int64_t in_w,
+               std::int64_t kernel, std::int64_t stride, std::int64_t pad,
+               float* out);
 
 /**
  * Maximum inner dimension `k` accepted by `gemm_s8`. Derived from the

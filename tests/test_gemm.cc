@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/tensor/gemm.h"
+#include "src/tensor/gemm_tile.h"
 #include "src/tensor/rng.h"
 
 namespace shredder {
@@ -400,6 +401,188 @@ TEST(Gemm, BlockedPathFollowsTheFmaContract)
     // LargeRowCountTakesRowPanelPath: row panels split across threads.
     expect_fma_contract(false, false, 201, 128, 128, 1.0f, 0.0f);
     expect_fma_contract(true, true, 201, 128, 128, 0.7f, 0.3f);
+}
+
+// -- The strided fallback's arithmetic, bit for bit ---------------------
+
+/**
+ * The strided fallback's per-element arithmetic (every m < 6 shape
+ * takes it): C is scaled by beta first. Where op(B)'s rows are strided
+ * (trans_b with k > 1), each element is one chain of double adds in k
+ * order, rounded once, then c += alpha·dot; otherwise each k step adds
+ * (alpha·a)·b into c in float.
+ */
+void
+small_path_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                std::int64_t k, float alpha, const std::vector<float>& a,
+                const std::vector<float>& b, float beta,
+                std::vector<float>& c)
+{
+    for (float& v : c) {
+        v = beta == 0.0f ? 0.0f : (beta == 1.0f ? v : v * beta);
+    }
+    auto at = [&](std::int64_t i, std::int64_t t) {
+        return ta ? a[static_cast<std::size_t>(t * m + i)]
+                  : a[static_cast<std::size_t>(i * k + t)];
+    };
+    auto bt = [&](std::int64_t t, std::int64_t j) {
+        return tb ? b[static_cast<std::size_t>(j * k + t)]
+                  : b[static_cast<std::size_t>(t * n + j)];
+    };
+    const bool dot_order = tb && k > 1;
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float& cv = c[static_cast<std::size_t>(i * n + j)];
+            if (dot_order) {
+                double dot = 0.0;
+                for (std::int64_t t = 0; t < k; ++t) {
+                    dot += static_cast<double>(at(i, t)) * bt(t, j);
+                }
+                cv += alpha * static_cast<float>(dot);
+            } else {
+                for (std::int64_t t = 0; t < k; ++t) {
+                    cv += (alpha * at(i, t)) * bt(t, j);
+                }
+            }
+        }
+    }
+}
+
+TEST(Gemm, SmallPathKeepsOneDoubleChainPerElement)
+{
+    // The float saxpy order is pinned only where no FMA can contract it;
+    // the double dot order is exact either way (a float product is).
+#if defined(__FMA__)
+    const bool pin_saxpy = false;
+#else
+    const bool pin_saxpy = true;
+#endif
+    int pinned = 0;
+    for (const std::int64_t m : {1, 2, 3, 4, 5}) {
+        for (const std::int64_t n : {1, 3, 4, 5, 7, 8, 10, 84}) {
+            for (const std::int64_t k : {1, 84, 120, 256}) {
+                for (const bool ta : {false, true}) {
+                    for (const bool tb : {false, true}) {
+                        if (!(tb && k > 1) && !pin_saxpy) {
+                            continue;
+                        }
+                        Rng rng(static_cast<std::uint64_t>(m * 7919 + n * 131 +
+                                                           k) +
+                                (ta ? 1 : 0) + (tb ? 2 : 0));
+                        std::vector<float> a(static_cast<std::size_t>(m * k));
+                        std::vector<float> b(static_cast<std::size_t>(k * n));
+                        std::vector<float> c(static_cast<std::size_t>(m * n));
+                        for (auto* v : {&a, &b, &c}) {
+                            for (float& x : *v) {
+                                x = rng.normal();
+                            }
+                        }
+                        std::vector<float> expect = c;
+                        gemm(ta, tb, m, n, k, 0.75f, a.data(), b.data(),
+                             0.5f, c.data());
+                        small_path_gemm(ta, tb, m, n, k, 0.75f, a, b, 0.5f,
+                                        expect);
+                        ASSERT_EQ(std::memcmp(c.data(), expect.data(),
+                                              c.size() * sizeof(float)),
+                                  0)
+                            << "ta=" << ta << " tb=" << tb << " m=" << m
+                            << " n=" << n << " k=" << k;
+                        ++pinned;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GE(pinned, 240);  // the dot-order shapes alone
+}
+
+// -- The portable tile's arithmetic, bit for bit -------------------------
+
+/**
+ * The blocked path's per-element arithmetic on the portable tile, built
+ * for the x86-64 baseline (no FMA to contract into): C is scaled by
+ * beta first; then each 256-deep k block forms acc = acc + a·b from
+ * zero in k order, unfused, and writes c = c + alpha·acc.
+ */
+void
+unfused_contract_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                      std::int64_t k, float alpha,
+                      const std::vector<float>& a,
+                      const std::vector<float>& b, float beta,
+                      std::vector<float>& c)
+{
+    for (float& v : c) {
+        v = beta == 0.0f ? 0.0f : (beta == 1.0f ? v : v * beta);
+    }
+    if (alpha == 0.0f) {
+        return;
+    }
+    for (std::int64_t k0 = 0; k0 < k; k0 += 256) {
+        const std::int64_t k1 = std::min(k, k0 + 256);
+        for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = 0; j < n; ++j) {
+                float acc = 0.0f;
+                for (std::int64_t t = k0; t < k1; ++t) {
+                    const float av =
+                        ta ? a[static_cast<std::size_t>(t * m + i)]
+                           : a[static_cast<std::size_t>(i * k + t)];
+                    const float bv =
+                        tb ? b[static_cast<std::size_t>(j * k + t)]
+                           : b[static_cast<std::size_t>(t * n + j)];
+                    acc = acc + av * bv;
+                }
+                float& cv = c[static_cast<std::size_t>(i * n + j)];
+                cv = cv + alpha * acc;
+            }
+        }
+    }
+}
+
+TEST(Gemm, PortableTileFollowsTheUnfusedContract)
+{
+#if !defined(__x86_64__) || defined(__FMA__)
+    GTEST_SKIP() << "the contract pins the x86-64 baseline build";
+#else
+    // gemm picks the AVX2 tile on an AVX2 host, so run the portable one
+    // by name over every blocked shape of the grids above.
+    std::vector<std::tuple<int, int, int>> shapes;
+    add_blocked_shapes(kAllM, kAllN, kAllK, shapes);
+    add_blocked_shapes(kTileM, kTileN, kTileK, shapes);
+    shapes.emplace_back(13, 21, 300);  // two k blocks
+    ASSERT_GT(shapes.size(), 10u);
+    for (const auto& [m, n, k] : shapes) {
+        for (const bool ta : {false, true}) {
+            for (const bool tb : {false, true}) {
+                for (const float alpha : kEdgeAlphas) {
+                    for (const float beta : kEdgeBetas) {
+                        Rng rng(static_cast<std::uint64_t>(m * 10007 +
+                                                           n * 101 + k));
+                        std::vector<float> a(static_cast<std::size_t>(m * k));
+                        std::vector<float> b(static_cast<std::size_t>(k * n));
+                        std::vector<float> c(static_cast<std::size_t>(m * n));
+                        for (auto* v : {&a, &b, &c}) {
+                            for (float& x : *v) {
+                                x = rng.normal();
+                            }
+                        }
+                        std::vector<float> expect = c;
+                        gemm_detail::gemm_on_tile(
+                            gemm_detail::Tile::kPortable, ta, tb, m, n, k,
+                            alpha, a.data(), b.data(), beta, c.data());
+                        unfused_contract_gemm(ta, tb, m, n, k, alpha, a, b,
+                                              beta, expect);
+                        ASSERT_EQ(std::memcmp(c.data(), expect.data(),
+                                              c.size() * sizeof(float)),
+                                  0)
+                            << "ta=" << ta << " tb=" << tb << " m=" << m
+                            << " n=" << n << " k=" << k
+                            << " alpha=" << alpha << " beta=" << beta;
+                    }
+                }
+            }
+        }
+    }
+#endif
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 /** @file Gradient and behavior tests for every layer type. */
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,8 @@
 #include "src/nn/linear.h"
 #include "src/nn/lrn.h"
 #include "src/nn/pool.h"
+#include "src/tensor/gemm.h"
+#include "src/tensor/im2col.h"
 #include "tests/test_util.h"
 
 namespace shredder {
@@ -33,6 +38,33 @@ TEST(ReLU, ForwardClampsNegatives)
     EXPECT_EQ(y[0], 0.0f);
     EXPECT_EQ(y[1], 0.0f);
     EXPECT_EQ(y[2], 2.0f);
+}
+
+TEST(ReLU, KeepsTheBitsOfNegativeZeroAndNan)
+{
+    auto from_bits = [](std::uint32_t bits) {
+        float v = 0.0f;
+        std::memcpy(&v, &bits, sizeof(v));
+        return v;
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    // -0.0, a quiet NaN with a payload, a negative NaN, then ordinary
+    // values: the first three must come back with their exact bits.
+    const std::vector<float> in{from_bits(0x80000000u), from_bits(0x7FC00123u),
+                                from_bits(0xFFC00001u), inf, -inf, -1.5f,
+                                2.5f, 0.0f};
+    const std::vector<float> want{from_bits(0x80000000u),
+                                  from_bits(0x7FC00123u),
+                                  from_bits(0xFFC00001u), inf, 0.0f, 0.0f,
+                                  2.5f, 0.0f};
+    nn::ReLU relu;
+    ExecutionContext ctx;
+    const Tensor y = relu.forward(Tensor::from_vector(in), ctx, Mode::kEval);
+    ASSERT_EQ(y.size(), static_cast<std::int64_t>(want.size()));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&y.data()[i], &want[i], sizeof(float)), 0)
+            << "at " << i;
+    }
 }
 
 TEST(ReLU, GradientMasksNegatives)
@@ -216,6 +248,136 @@ TEST(Conv2d, MacsFormula)
     nn::Conv2d conv(cfg, rng);
     // 4 out-ch × 8×8 positions × (3·3·3) fan-in = 6912.
     EXPECT_EQ(conv.macs(Shape({1, 3, 8, 8})), 4 * 8 * 8 * 27);
+}
+
+/**
+ * The lowering Conv2d::forward must equal bit for bit: per image,
+ * im2col, then gemm(false, false, ...) with beta = 0, then the bias.
+ */
+Tensor
+lowered_conv_forward(nn::Conv2d& conv, const Tensor& x)
+{
+    const nn::Conv2dConfig& cfg = conv.config();
+    const Shape out = conv.output_shape(x.shape());
+    const std::int64_t rows = cfg.in_channels * cfg.kernel * cfg.kernel;
+    const std::int64_t cols = out[2] * out[3];
+    const std::int64_t image = x.shape()[1] * x.shape()[2] * x.shape()[3];
+    Tensor y(out);
+    std::vector<float> col(static_cast<std::size_t>(rows * cols));
+    for (std::int64_t n = 0; n < x.shape()[0]; ++n) {
+        im2col(x.data() + n * image, x.shape()[1], x.shape()[2],
+               x.shape()[3], cfg.kernel, cfg.kernel, cfg.stride, cfg.stride,
+               cfg.padding, cfg.padding, col.data());
+        float* yn = y.data() + n * cfg.out_channels * cols;
+        gemm(false, false, cfg.out_channels, cols, rows, 1.0f,
+             conv.weight().value.data(), col.data(), 0.0f, yn);
+        if (cfg.bias) {
+            for (std::int64_t c = 0; c < cfg.out_channels; ++c) {
+                for (std::int64_t i = 0; i < cols; ++i) {
+                    yn[c * cols + i] += conv.bias().value[c];
+                }
+            }
+        }
+    }
+    return y;
+}
+
+/** Forward `x` through a fresh conv; compare with the lowering. */
+void
+expect_forward_is_the_lowering(const nn::Conv2dConfig& cfg, const Tensor& x,
+                               Rng& rng)
+{
+    nn::Conv2d conv(cfg, rng);
+    if (cfg.bias) {
+        conv.bias().value = Tensor::normal(conv.bias().value.shape(), rng);
+    }
+    ExecutionContext ctx;
+    const Tensor y = conv.forward(x, ctx, Mode::kEval);
+    const Tensor want = lowered_conv_forward(conv, x);
+    ASSERT_EQ(y.shape(), want.shape());
+    ASSERT_EQ(std::memcmp(y.data(), want.data(),
+                          sizeof(float) * static_cast<std::size_t>(y.size())),
+              0)
+        << "k=" << cfg.kernel << " s=" << cfg.stride << " p=" << cfg.padding
+        << " cin=" << cfg.in_channels << " cout=" << cfg.out_channels
+        << " bias=" << cfg.bias << " input " << x.shape().to_string();
+}
+
+TEST(Conv2d, ForwardIsTheIm2colLoweringBitForBit)
+{
+    // Cin·K² on both sides of the 256-deep k block, per kernel size.
+    struct KernelCase
+    {
+        std::int64_t kernel, cin_below, cin_above;
+    };
+    const KernelCase kernels[] = {{1, 250, 260}, {3, 28, 29}, {5, 10, 11}};
+    int packed = 0;
+    int strided = 0;
+    for (const KernelCase& kc : kernels) {
+        for (const std::int64_t stride : {1, 2}) {
+            for (const std::int64_t pad : {0, 1, 2}) {
+                for (const std::int64_t cin : {kc.cin_below, kc.cin_above}) {
+                    for (const std::int64_t extent : {1, 4, 5, 8}) {
+                        const std::int64_t in =
+                            (extent - 1) * stride + kc.kernel - 2 * pad;
+                        if (in < 1) {
+                            continue;  // no input has this output extent
+                        }
+                        for (const std::int64_t cout : {5, 16}) {
+                            for (const std::int64_t batch : {1, 3}) {
+                                for (const bool bias : {false, true}) {
+                                    nn::Conv2dConfig cfg;
+                                    cfg.in_channels = cin;
+                                    cfg.out_channels = cout;
+                                    cfg.kernel = kc.kernel;
+                                    cfg.stride = stride;
+                                    cfg.padding = pad;
+                                    cfg.bias = bias;
+                                    Rng rng(static_cast<std::uint64_t>(
+                                        cin * 1009 + extent * 101 +
+                                        stride * 11 + pad));
+                                    const Tensor x = Tensor::normal(
+                                        Shape({batch, cin, in, in}), rng);
+                                    expect_forward_is_the_lowering(cfg, x,
+                                                                   rng);
+                                    // gemm's dispatch (src/tensor/gemm.cc).
+                                    const std::int64_t n = extent * extent;
+                                    const std::int64_t k =
+                                        cin * kc.kernel * kc.kernel;
+                                    if (cout >= 6 && n >= 8 &&
+                                        cout * n * k > 16 * 1024) {
+                                        ++packed;
+                                    } else {
+                                        ++strided;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(packed, 0);
+    EXPECT_GT(strided, 0);
+
+    Rng rng(31);
+    nn::Conv2dConfig cfg;
+    cfg.in_channels = 29;
+    cfg.out_channels = 16;
+    cfg.kernel = 3;
+    cfg.stride = 2;
+    cfg.padding = 1;
+    // A non-square input: 9×14 → 5×7.
+    expect_forward_is_the_lowering(
+        cfg, Tensor::normal(Shape({3, 29, 9, 14}), rng), rng);
+    // Non-finite inputs reach every output their receptive fields cover.
+    cfg.stride = 1;
+    Tensor x = Tensor::normal(Shape({1, 29, 8, 8}), rng);
+    x.data()[5] = std::numeric_limits<float>::quiet_NaN();
+    x.data()[200] = std::numeric_limits<float>::infinity();
+    x.data()[1000] = -std::numeric_limits<float>::infinity();
+    expect_forward_is_the_lowering(cfg, x, rng);
 }
 
 struct ConvGradCase
