@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/tensor/gemm_tile.h"
+#include "src/tensor/rng_path.h"
 
 namespace {
 
@@ -404,17 +406,40 @@ struct DrawPoint
 {
     std::int64_t numel = 0;
     double draw_us = 0.0;
+    double scalar_draw_us = 0.0;
     double std_engine_us = 0.0;
     double frozen_us = 0.0;
+    std::int64_t checked_draws = 0;
+    std::int64_t fallback_lanes = 0;
     bool bit_identical = false;
 };
 
 /**
+ * One draw on `path` through the private entry, seeded as `Rng(seed)`
+ * seeds: the Laplace fit's sample added into `dst`. Returns the lanes
+ * the vector path handed to the scalar finish.
+ */
+std::int64_t
+entry_laplace_apply(rng_detail::DrawPath path,
+                    const core::NoiseDistribution& dist, std::uint64_t seed,
+                    float* dst)
+{
+    std::uint64_t state[Mt19937_64::kStateWords];
+    std::size_t pos = Mt19937_64::kStateWords;
+    rng_detail::seed_state(seed, state);
+    return rng_detail::laplace_draw(path, state, pos,
+                                    dist.location().data(),
+                                    dist.scale().data(), 1e-9f,
+                                    dist.location().size(), dst, true);
+}
+
+/**
  * One request's Laplace draw at the served SVHN cut (48×16×16 = 12,288
- * elements): seed an Rng and add a fresh sample into a row, as
- * SamplePolicy::apply_into does, against the same loop over the
- * standard engine and the frozen per-element loop. All three must agree
- * bit for bit.
+ * elements): seed a state and add a fresh sample into a row, as
+ * SamplePolicy::apply_into does, on the host's path and on the scalar
+ * path through the private entry, against the same loop over the
+ * standard engine and the frozen per-element loop. Over 64 request
+ * ids, the served draw and all four variants must agree bit for bit.
  */
 DrawPoint
 measure_laplace_draw()
@@ -430,38 +455,68 @@ measure_laplace_draw()
     const core::NoiseDistribution dist =
         core::NoiseDistribution::fit(collection);
     Tensor row = Tensor::normal(shape, rng);
+    const rng_detail::DrawPath host = rng_detail::host_draw_path();
 
     DrawPoint p;
     p.numel = shape.numel();
-    Tensor bulk = row;
-    Tensor std_engine = row;
-    Tensor frozen = row;
-    Rng check_rng(77);
-    dist.add_sample(check_rng, bulk.data());
-    std_engine_laplace_apply(dist, 77, std_engine.data());
-    frozen_laplace_apply(dist, 77, frozen.data());
+    p.bit_identical = true;
     const std::size_t bytes =
-        sizeof(float) * static_cast<std::size_t>(bulk.size());
-    p.bit_identical =
-        std::memcmp(bulk.data(), frozen.data(), bytes) == 0 &&
-        std::memcmp(std_engine.data(), frozen.data(), bytes) == 0;
+        sizeof(float) * static_cast<std::size_t>(row.size());
+    for (std::uint64_t id = 0; id < 64; ++id) {
+        const std::uint64_t seed = runtime::noise_seed(77, id);
+        Tensor served = row;
+        Tensor on_host = row;
+        Tensor scalar = row;
+        Tensor std_engine = row;
+        Tensor frozen = row;
+        Rng served_rng(seed);
+        dist.add_sample(served_rng, served.data());
+        p.fallback_lanes += entry_laplace_apply(host, dist, seed,
+                                                on_host.data());
+        entry_laplace_apply(rng_detail::DrawPath::kScalar, dist, seed,
+                            scalar.data());
+        std_engine_laplace_apply(dist, seed, std_engine.data());
+        frozen_laplace_apply(dist, seed, frozen.data());
+        for (const Tensor* t : {&served, &on_host, &scalar, &std_engine}) {
+            p.bit_identical = p.bit_identical &&
+                              std::memcmp(t->data(), frozen.data(), bytes) == 0;
+        }
+        ++p.checked_draws;
+    }
 
     std::uint64_t seed = 0;
     const std::vector<double> seconds = interleaved_median_seconds({
+        [&] { entry_laplace_apply(host, dist, ++seed, row.data()); },
         [&] {
-            Rng draw_rng(++seed);
-            dist.add_sample(draw_rng, row.data());
+            entry_laplace_apply(rng_detail::DrawPath::kScalar, dist, ++seed,
+                                row.data());
         },
         [&] { std_engine_laplace_apply(dist, ++seed, row.data()); },
         [&] { frozen_laplace_apply(dist, ++seed, row.data()); },
     });
     p.draw_us = seconds[0] * 1e6;
-    p.std_engine_us = seconds[1] * 1e6;
-    p.frozen_us = seconds[2] * 1e6;
+    p.scalar_draw_us = seconds[1] * 1e6;
+    p.std_engine_us = seconds[2] * 1e6;
+    p.frozen_us = seconds[3] * 1e6;
     return p;
 }
 
-/** CPU model, hardware threads and source revision of this run. */
+/** The blocked GEMM's widest micro-tile on this host. */
+const char*
+host_tile_name()
+{
+    switch (gemm_detail::host_tile()) {
+    case gemm_detail::Tile::kAvx512:
+        return "avx512";
+    case gemm_detail::Tile::kAvx2:
+        return "avx2";
+    case gemm_detail::Tile::kPortable:
+        break;
+    }
+    return "portable";
+}
+
+/** CPU model, hardware threads, source revision and GEMM tile of this run. */
 void
 write_stamp(bench::JsonWriter& json)
 {
@@ -474,6 +529,8 @@ write_stamp(bench::JsonWriter& json)
         std::max(1u, std::thread::hardware_concurrency())));
     json.key("git");
     json.value(bench::git_describe());
+    json.key("tile");
+    json.value(host_tile_name());
     json.end_object();
 }
 
@@ -701,25 +758,41 @@ main(int argc, char** argv)
     json.end_object();
 
     const DrawPoint draw = measure_laplace_draw();
-    std::printf("Laplace draw, %lld elements: %.1f us vs standard engine "
-                "%.1f us vs frozen %.1f us (%.2fx), bit-identical: %s\n",
-                static_cast<long long>(draw.numel), draw.draw_us,
-                draw.std_engine_us, draw.frozen_us,
+    const char* draw_path =
+        rng_detail::host_draw_path() == rng_detail::DrawPath::kAvx2
+            ? "avx2"
+            : "scalar";
+    std::printf("Laplace draw, %lld elements: %.1f us (%s path) vs scalar "
+                "path %.1f us vs standard engine %.1f us vs frozen %.1f us "
+                "(%.2fx); %lld fallback lanes over %lld draws, "
+                "bit-identical: %s\n",
+                static_cast<long long>(draw.numel), draw.draw_us, draw_path,
+                draw.scalar_draw_us, draw.std_engine_us, draw.frozen_us,
                 draw.frozen_us / draw.draw_us,
+                static_cast<long long>(draw.fallback_lanes),
+                static_cast<long long>(draw.checked_draws),
                 draw.bit_identical ? "yes" : "NO");
     json.key("laplace_draw");
     json.begin_object();
     write_stamp(json);
+    json.key("path");
+    json.value(draw_path);
     json.key("numel");
     json.value(draw.numel);
     json.key("draw_us");
     json.value(draw.draw_us);
+    json.key("scalar_draw_us");
+    json.value(draw.scalar_draw_us);
     json.key("std_engine_us");
     json.value(draw.std_engine_us);
     json.key("frozen_us");
     json.value(draw.frozen_us);
     json.key("speedup");
     json.value(draw.frozen_us / draw.draw_us);
+    json.key("checked_draws");
+    json.value(draw.checked_draws);
+    json.key("fallback_lanes");
+    json.value(draw.fallback_lanes);
     json.key("bit_identical");
     json.value(draw.bit_identical);
     json.end_object();

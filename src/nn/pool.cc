@@ -1,6 +1,13 @@
 /**
  * @file
  * Implementation of the max/average pooling layers.
+ *
+ * Max-pool picks, per window, the first element strictly above −inf in
+ * row order, or the window's first element when none is. A forward-only
+ * 2×2, stride-2, unpadded max-pool (every served one in the zoo) keeps
+ * that rule as a branch-free select, which the compiler vectorizes
+ * across a row of outputs; other geometries, and contexts that record
+ * the argmax for backward, run the general loop.
  */
 #include "src/nn/pool.h"
 
@@ -27,6 +34,36 @@ pool_output_shape(const Shape& in, const PoolConfig& cfg, const char* what)
     SHREDDER_REQUIRE(oh > 0 && ow > 0, what, " output collapses for ",
                      in.to_string());
     return Shape({in[0], in[1], oh, ow});
+}
+
+/**
+ * Forward-only 2×2, stride-2, unpadded max-pool over `planes` planes.
+ * `best = best < v ? v : best` from −inf in row order is the general
+ * loop's `v > best` rule without a branch: a strictly greater value
+ * replaces, so NaN is skipped and the first of equal values (±0) stays.
+ * A window with nothing above −inf answers its first element.
+ */
+void
+max_pool_2x2(const float* __restrict__ x, std::int64_t planes,
+             std::int64_t ih, std::int64_t iw, std::int64_t oh,
+             std::int64_t ow, float* __restrict__ y)
+{
+    const float lowest = -std::numeric_limits<float>::infinity();
+    for (std::int64_t pl = 0; pl < planes; ++pl) {
+        const float* plane = x + pl * ih * iw;
+        for (std::int64_t i = 0; i < oh; ++i, y += ow) {
+            const float* top = plane + 2 * i * iw;
+            const float* bottom = top + iw;
+            for (std::int64_t j = 0; j < ow; ++j) {
+                const float first = top[2 * j];
+                float best = lowest < first ? first : lowest;
+                best = best < top[2 * j + 1] ? top[2 * j + 1] : best;
+                best = best < bottom[2 * j] ? bottom[2 * j] : best;
+                best = best < bottom[2 * j + 1] ? bottom[2 * j + 1] : best;
+                y[j] = lowest < best ? best : first;
+            }
+        }
+    }
 }
 
 }  // namespace
@@ -62,6 +99,11 @@ MaxPool2d::forward(const Tensor& x, ExecutionContext& ctx,
     // The argmax table is one int64 per output element — as big as the
     // output itself — so forward-only contexts skip recording it.
     const bool retain = ctx.retain_activations();
+    if (!retain && config_.kernel == 2 && config_.stride == 2 &&
+        config_.padding == 0) {
+        max_pool_2x2(x.data(), batch * chans, ih, iw, oh, ow, y.data());
+        return y;
+    }
     LayerState& state = ctx.state(this);
     std::vector<std::int64_t>& argmax = state.argmax;
     if (retain) {

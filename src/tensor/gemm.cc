@@ -22,17 +22,21 @@
  * problems split their MC row panels with `parallel_for` (the shared
  * packed B is read-only).
  *
- * Two micro-kernels are compiled and picked once at runtime: a 6×8
- * tile for the portable SSE2 baseline (12 XMM accumulators) and a
- * 6×16 tile written in AVX2+FMA intrinsics (12 YMM accumulators)
- * chosen when the CPU supports it — so the default build, with no
- * -march flags, still runs wide on modern x86. See
+ * Three micro-kernels are compiled and picked at runtime by the host's
+ * features (`cpu_features()`): a 6×8 tile for the portable SSE2
+ * baseline (12 XMM accumulators), a 6×16 tile in AVX2+FMA intrinsics
+ * (12 YMM accumulators) and a 6×32 tile in AVX-512F intrinsics (12 ZMM
+ * accumulators), which runs only where n > 16 so a 32-wide panel is not
+ * mostly padding. The two wide tiles compute every element by the same
+ * FMA rule, so which one runs moves no bit — and the default build,
+ * with no -march flags, still runs wide on modern x86. See
  * docs/PERFORMANCE.md for the derivation and measured numbers.
  */
 #include "src/tensor/gemm.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -40,6 +44,7 @@
 
 #include "src/runtime/logging.h"
 #include "src/runtime/thread_pool.h"
+#include "src/tensor/cpu_features.h"
 #include "src/tensor/gemm_tile.h"
 #include "src/tensor/im2col.h"
 #include "src/tensor/scratch.h"
@@ -51,6 +56,7 @@ namespace {
 constexpr std::int64_t kMr = 6;     ///< micro-tile rows
 constexpr std::int64_t kNrSse = 8;  ///< micro-tile columns, SSE baseline
 constexpr std::int64_t kNrAvx = 16; ///< micro-tile columns, AVX2+FMA path
+constexpr std::int64_t kNrAvx512 = 32; ///< micro-tile columns, AVX-512F path
 constexpr std::int64_t kKc = 256;   ///< k block: micro-panels stay in L1
 constexpr std::int64_t kMc = 96;    ///< m block: the row panel parallel_for splits
 constexpr std::int64_t kNc = 2048;  ///< n block: packed B block stays in LLC
@@ -294,6 +300,91 @@ micro_kernel_avx2(std::int64_t kc, const float* a, std::int64_t a_rs,
         }
     }
 }
+
+/** One full tile row: c[0..32) = fma(alpha, acc, c). */
+__attribute__((target("avx512f"), always_inline)) inline void
+write_row_512(float* c, __m512 alpha, __m512 lo, __m512 hi)
+{
+    _mm512_storeu_ps(c, _mm512_fmadd_ps(alpha, lo, _mm512_loadu_ps(c)));
+    _mm512_storeu_ps(c + 16,
+                     _mm512_fmadd_ps(alpha, hi, _mm512_loadu_ps(c + 16)));
+}
+
+/**
+ * 6×32 tile in AVX-512F intrinsics: `micro_kernel_avx2` at twice the
+ * width, with the same per-element arithmetic, so either tile gives
+ * the same bits. Twelve ZMM accumulators; each k step is two B loads,
+ * six A broadcasts and twelve FMAs.
+ */
+__attribute__((target("avx512f"))) void
+micro_kernel_avx512(std::int64_t kc, const float* a, std::int64_t a_rs,
+                    std::int64_t a_cs, const float* bp, float alpha, float* c,
+                    std::int64_t ldc, std::int64_t mr, std::int64_t nr)
+{
+    const float* a0 = tile_row(a, a_rs, 0, mr);
+    const float* a1 = tile_row(a, a_rs, 1, mr);
+    const float* a2 = tile_row(a, a_rs, 2, mr);
+    const float* a3 = tile_row(a, a_rs, 3, mr);
+    const float* a4 = tile_row(a, a_rs, 4, mr);
+    const float* a5 = tile_row(a, a_rs, 5, mr);
+    __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
+    __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
+    __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
+    __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
+    __m512 c40 = _mm512_setzero_ps(), c41 = _mm512_setzero_ps();
+    __m512 c50 = _mm512_setzero_ps(), c51 = _mm512_setzero_ps();
+    const std::int64_t end = kc * a_cs;
+    for (std::int64_t off = 0; off != end; off += a_cs, bp += kNrAvx512) {
+        const __m512 b0 = _mm512_loadu_ps(bp);
+        const __m512 b1 = _mm512_loadu_ps(bp + 16);
+        __m512 av = _mm512_set1_ps(a0[off]);
+        c00 = _mm512_fmadd_ps(av, b0, c00);
+        c01 = _mm512_fmadd_ps(av, b1, c01);
+        av = _mm512_set1_ps(a1[off]);
+        c10 = _mm512_fmadd_ps(av, b0, c10);
+        c11 = _mm512_fmadd_ps(av, b1, c11);
+        av = _mm512_set1_ps(a2[off]);
+        c20 = _mm512_fmadd_ps(av, b0, c20);
+        c21 = _mm512_fmadd_ps(av, b1, c21);
+        av = _mm512_set1_ps(a3[off]);
+        c30 = _mm512_fmadd_ps(av, b0, c30);
+        c31 = _mm512_fmadd_ps(av, b1, c31);
+        av = _mm512_set1_ps(a4[off]);
+        c40 = _mm512_fmadd_ps(av, b0, c40);
+        c41 = _mm512_fmadd_ps(av, b1, c41);
+        av = _mm512_set1_ps(a5[off]);
+        c50 = _mm512_fmadd_ps(av, b0, c50);
+        c51 = _mm512_fmadd_ps(av, b1, c51);
+    }
+    if (mr == kMr && nr == kNrAvx512) {
+        const __m512 va = _mm512_set1_ps(alpha);
+        write_row_512(c, va, c00, c01);
+        write_row_512(c + ldc, va, c10, c11);
+        write_row_512(c + 2 * ldc, va, c20, c21);
+        write_row_512(c + 3 * ldc, va, c30, c31);
+        write_row_512(c + 4 * ldc, va, c40, c41);
+        write_row_512(c + 5 * ldc, va, c50, c51);
+        return;
+    }
+    alignas(64) float acc[kMr][kNrAvx512];
+    _mm512_store_ps(acc[0], c00);
+    _mm512_store_ps(acc[0] + 16, c01);
+    _mm512_store_ps(acc[1], c10);
+    _mm512_store_ps(acc[1] + 16, c11);
+    _mm512_store_ps(acc[2], c20);
+    _mm512_store_ps(acc[2] + 16, c21);
+    _mm512_store_ps(acc[3], c30);
+    _mm512_store_ps(acc[3] + 16, c31);
+    _mm512_store_ps(acc[4], c40);
+    _mm512_store_ps(acc[4] + 16, c41);
+    _mm512_store_ps(acc[5], c50);
+    _mm512_store_ps(acc[5] + 16, c51);
+    for (std::int64_t i = 0; i < mr; ++i) {
+        for (std::int64_t j = 0; j < nr; ++j) {
+            c[i * ldc + j] = std::fma(alpha, acc[i][j], c[i * ldc + j]);
+        }
+    }
+}
 #endif
 
 /** A micro-kernel and its panel width. */
@@ -303,27 +394,90 @@ struct KernelChoice
     std::int64_t nr;
 };
 
+/**
+ * The micro-kernel `tile` runs for an n-column product. The AVX-512
+ * tile hands n ≤ 16 to the AVX2 tile, whose one 16-wide panel is not
+ * half padding; both compute the same bits.
+ */
 KernelChoice
-kernel_for(gemm_detail::Tile tile)
+kernel_for(gemm_detail::Tile tile, std::int64_t n)
 {
 #if defined(__x86_64__) || defined(__i386__)
-    if (tile == gemm_detail::Tile::kAvx2) {
+    if (tile == gemm_detail::Tile::kAvx512 && n > kNrAvx) {
+        return {micro_kernel_avx512, kNrAvx512};
+    }
+    if (tile != gemm_detail::Tile::kPortable) {
         return {micro_kernel_avx2, kNrAvx};
     }
 #else
+    (void)n;
     SHREDDER_CHECK(tile == gemm_detail::Tile::kPortable,
-                   "the AVX2 GEMM tile needs an x86 build");
+                   "the AVX GEMM tiles need an x86 build");
 #endif
     return {micro_kernel_sse, kNrSse};
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+/**
+ * The dot order's sums for eight contiguous columns of op(B), column t
+ * at `b + t*b_cs`: dots[t] = Σ_p a[p·a_cs]·col_t[p] in double, one
+ * chain per lane in p order. Each step transposes 4×4 blocks of the
+ * columns so lane t holds column t, widens them with `cvtps2pd`, and
+ * does one multiply and one add per lane. A float×float product is
+ * exact in double, so a contracted FMA gives the same sum, and every
+ * lane is the scalar loop's chain.
+ */
+__attribute__((target("avx2,fma"))) void
+dot8_avx2(std::int64_t k, const float* a, std::int64_t a_cs, const float* b,
+          std::int64_t b_cs, double* dots)
+{
+    const float* col[8];
+    for (int t = 0; t < 8; ++t) {
+        col[t] = b + t * b_cs;
+    }
+    __m256d lo = _mm256_setzero_pd();  // columns 0..3
+    __m256d hi = _mm256_setzero_pd();  // columns 4..7
+    std::int64_t p = 0;
+    for (; p + 4 <= k; p += 4) {
+        __m128 l0 = _mm_loadu_ps(col[0] + p), l1 = _mm_loadu_ps(col[1] + p);
+        __m128 l2 = _mm_loadu_ps(col[2] + p), l3 = _mm_loadu_ps(col[3] + p);
+        __m128 h0 = _mm_loadu_ps(col[4] + p), h1 = _mm_loadu_ps(col[5] + p);
+        __m128 h2 = _mm_loadu_ps(col[6] + p), h3 = _mm_loadu_ps(col[7] + p);
+        _MM_TRANSPOSE4_PS(l0, l1, l2, l3);
+        _MM_TRANSPOSE4_PS(h0, h1, h2, h3);
+        const __m128 lrow[4] = {l0, l1, l2, l3};
+        const __m128 hrow[4] = {h0, h1, h2, h3};
+        for (int q = 0; q < 4; ++q) {
+            const __m256d av = _mm256_set1_pd(a[(p + q) * a_cs]);
+            lo = _mm256_add_pd(lo, _mm256_mul_pd(av, _mm256_cvtps_pd(lrow[q])));
+            hi = _mm256_add_pd(hi, _mm256_mul_pd(av, _mm256_cvtps_pd(hrow[q])));
+        }
+    }
+    for (; p < k; ++p) {
+        const __m256d av = _mm256_set1_pd(a[p * a_cs]);
+        const __m128 l =
+            _mm_setr_ps(col[0][p], col[1][p], col[2][p], col[3][p]);
+        const __m128 h =
+            _mm_setr_ps(col[4][p], col[5][p], col[6][p], col[7][p]);
+        lo = _mm256_add_pd(lo, _mm256_mul_pd(av, _mm256_cvtps_pd(l)));
+        hi = _mm256_add_pd(hi, _mm256_mul_pd(av, _mm256_cvtps_pd(h)));
+    }
+    _mm256_storeu_pd(dots, lo);
+    _mm256_storeu_pd(dots + 4, hi);
+}
+#endif
+
 /**
  * Strided fallback for the shapes `takes_small_path` names. Picks saxpy
  * (i-p-j) or dot (i-j-p) order so the innermost loop is contiguous
- * either way. The dot order runs four columns at once, each its own
- * chain of double adds in p order: a float×float product is exact in
- * double, so every sum is the one-column loop's, and the four chains
- * overlap instead of waiting on each add's latency.
+ * either way. The dot order keeps one chain of double adds per element,
+ * in p order: a float×float product is exact in double, so every sum is
+ * the one-column loop's however many chains run side by side. Where
+ * op(B)'s columns are contiguous and the host has AVX2+FMA, eight
+ * columns run at once in vector lanes (`dot8_avx2`); the rest run four
+ * at a time, so the chains overlap instead of waiting on each add's
+ * latency. The write-back stays here, outside the FMA target, so
+ * `c += alpha·dot` is never contracted.
  */
 void
 gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -343,10 +497,22 @@ gemm_small(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
         }
         return;
     }
+#if defined(__x86_64__) || defined(__i386__)
+    const bool wide = b_rs == 1 && cpu_features().avx2_fma;
+#endif
     for (std::int64_t i = 0; i < m; ++i) {
         const float* arow = a + i * a_rs;
         float* crow = c + i * n;
         std::int64_t j = 0;
+#if defined(__x86_64__) || defined(__i386__)
+        for (; wide && j + 8 <= n; j += 8) {
+            double dots[8];
+            dot8_avx2(k, arow, a_cs, b + j * b_cs, b_cs, dots);
+            for (int t = 0; t < 8; ++t) {
+                crow[j + t] += alpha * static_cast<float>(dots[t]);
+            }
+        }
+#endif
         for (; j + 4 <= n; j += 4) {
             const float* b0 = b + j * b_cs;
             const float* b1 = b0 + b_cs;
@@ -465,14 +631,16 @@ struct ConvPanels
         }
         // Each panel's columns fall into runs whose sources are
         // adjacent (one output row's stretch when step is 1); every
-        // panel row copies the same runs from its own row offset.
+        // panel row copies the same runs from its own row offset. A
+        // run of 4, 8 or 16 (one output row of a served conv) is one
+        // fixed-size copy.
         struct Run
         {
             std::int64_t dst, src, len;
         };
         for (std::int64_t j0 = 0; j0 < nc; j0 += nr) {
             const std::int64_t w = std::min(nr, nc - j0);
-            Run runs[kNrAvx];
+            Run runs[kNrAvx512];
             std::int64_t num_runs = 0;
             for (std::int64_t j = 0; j < w; ++j) {
                 const std::int64_t col = jc + j0 + j;
@@ -491,8 +659,22 @@ struct ConvPanels
                 float* dst = panel + p * nr;
                 for (std::int64_t r = 0; r < num_runs; ++r) {
                     const Run& run = runs[r];
-                    for (std::int64_t t = 0; t < run.len; ++t) {
-                        dst[run.dst + t] = src[run.src + t];
+                    const float* from = src + run.src;
+                    float* to = dst + run.dst;
+                    switch (run.len) {
+                    case 4:
+                        std::memcpy(to, from, 4 * sizeof(float));
+                        break;
+                    case 8:
+                        std::memcpy(to, from, 8 * sizeof(float));
+                        break;
+                    case 16:
+                        std::memcpy(to, from, 16 * sizeof(float));
+                        break;
+                    default:
+                        for (std::int64_t t = 0; t < run.len; ++t) {
+                            to[t] = from[t];
+                        }
                     }
                 }
                 for (std::int64_t j = w; j < nr; ++j) {
@@ -573,7 +755,7 @@ s8_dot_choice()
 {
     static const S8DotFn fn = [] {
 #if defined(__x86_64__) || defined(__i386__)
-        if (__builtin_cpu_supports("avx2")) {
+        if (cpu_features().avx2_fma) {
             return &s8_dot_avx2;
         }
 #endif
@@ -671,15 +853,9 @@ namespace gemm_detail {
 Tile
 host_tile()
 {
-    static const Tile tile = [] {
-#if defined(__x86_64__) || defined(__i386__)
-        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-            return Tile::kAvx2;
-        }
-#endif
-        return Tile::kPortable;
-    }();
-    return tile;
+    const CpuFeatures& cpu = cpu_features();
+    return cpu.avx512f ? Tile::kAvx512
+                       : (cpu.avx2_fma ? Tile::kAvx2 : Tile::kPortable);
 }
 
 void
@@ -711,7 +887,7 @@ gemm_on_tile(Tile tile, bool trans_a, bool trans_b, std::int64_t m,
         gemm_small(m, n, k, alpha, a, a_rs, a_cs, b, b_rs, b_cs, c);
         return;
     }
-    gemm_blocked(kernel_for(tile), m, n, k, alpha, a, a_rs, a_cs,
+    gemm_blocked(kernel_for(tile, n), m, n, k, alpha, a, a_rs, a_cs,
                  [&](std::int64_t pc, std::int64_t kc, std::int64_t jc,
                      std::int64_t nc, std::int64_t nr, float* out) {
                      pack_b(kc, nc, nr, b + pc * b_rs + jc * b_cs, b_rs,
@@ -807,7 +983,7 @@ conv_gemm(const float* weights, std::int64_t out_c, const float* image,
             }
         }
     }
-    gemm_blocked(kernel_for(gemm_detail::host_tile()), out_c, n, k, 1.0f,
+    gemm_blocked(kernel_for(gemm_detail::host_tile(), n), out_c, n, k, 1.0f,
                  weights, k, 1,
                  ConvPanels{padded.data(), kernel, step, img_h, img_w, out_w},
                  out);

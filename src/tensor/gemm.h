@@ -10,10 +10,14 @@
  * MR×NR micro-kernel reads op(A) in place through strides and
  * accumulates in registers. The four transpose combinations and the
  * convolution share that one loop nest without materializing a
- * transposed or unfolded copy. Large-m calls split row panels with
- * `parallel_for` (serial on a pool worker); skinny/small problems take
- * a strided fallback. See docs/PERFORMANCE.md for blocking parameters
- * and measured throughput.
+ * transposed or unfolded copy. The micro-kernel is picked at run time
+ * from the host's features: a portable 6×8 tile, a 6×16 AVX2+FMA tile,
+ * or a 6×32 AVX-512F tile where n > 16; the two wide tiles give the
+ * same bits. Large-m calls split row panels with `parallel_for` (serial
+ * on a pool worker); skinny/small problems take a strided fallback,
+ * whose dot order (a batch-1 `Linear`) runs eight columns in AVX2
+ * lanes with one double chain each. See docs/PERFORMANCE.md for
+ * blocking parameters and measured throughput.
  */
 #ifndef SHREDDER_TENSOR_GEMM_H
 #define SHREDDER_TENSOR_GEMM_H

@@ -14,7 +14,12 @@
  * §2.4–2.5), which the C++ standard library does not provide;
  * `Rng::laplace` implements it via inverse-CDF sampling, and
  * `Rng::laplace_into` draws a whole tensor of the same values, from the
- * same stream positions, out of the bulk uniforms.
+ * same stream positions, out of the bulk uniforms. On an AVX2+FMA host
+ * the bulk draw runs four lanes at a time — twist, tempering,
+ * conversion and a polynomial ln — and keeps a lane only when an exact
+ * rounding check proves it is the float glibc's scalar `log` gives;
+ * every other lane is finished by that scalar `log`
+ * (src/tensor/rng_path.h).
  */
 #ifndef SHREDDER_TENSOR_RNG_H
 #define SHREDDER_TENSOR_RNG_H
@@ -93,14 +98,6 @@ class Mt19937_64
 
   private:
     friend class Rng;
-
-    /**
-     * The next `n` words, each mapped to Uniform[−½, ½) exactly as
-     * `std::uniform_real_distribution<double>(-0.5, 0.5)` maps one
-     * 64-bit word — the same values, from the same stream positions,
-     * as `n` scalar draws through that distribution.
-     */
-    void centered_uniforms(double* out, std::size_t n);
 
     void twist();
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/tensor/cpu_features.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/gemm_tile.h"
 #include "src/tensor/rng.h"
@@ -275,17 +276,6 @@ TEST(Gemm, LargeBlockedKPath)
 
 // -- The blocked path's arithmetic, bit for bit ------------------------
 
-/** True where gemm's blocked path runs the AVX2+FMA micro-kernel. */
-bool
-has_avx2_fma()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-    return false;
-#endif
-}
-
 /** True when gemm packs this shape (src/tensor/gemm.cc's dispatch). */
 bool
 takes_blocked_path(std::int64_t m, std::int64_t n, std::int64_t k)
@@ -294,9 +284,10 @@ takes_blocked_path(std::int64_t m, std::int64_t n, std::int64_t k)
 }
 
 /**
- * The blocked AVX2 path's per-element arithmetic: C is scaled by beta
- * first; then each 256-deep k block forms acc = fmaf(a, b, acc) from
- * zero in k order and writes c = fmaf(alpha, acc, c).
+ * The blocked path's per-element arithmetic on the AVX2 and AVX-512
+ * tiles: C is scaled by beta first; then each 256-deep k block forms
+ * acc = fmaf(a, b, acc) from zero in k order and writes
+ * c = fmaf(alpha, acc, c).
  */
 void
 fma_contract_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
@@ -331,10 +322,10 @@ fma_contract_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
     }
 }
 
-/** Run one case through gemm and the contract; compare every bit. */
+/** Run one case on `tile` and through the contract; compare every bit. */
 void
-expect_fma_contract(bool ta, bool tb, std::int64_t m, std::int64_t n,
-                    std::int64_t k, float alpha, float beta)
+expect_fma_contract(gemm_detail::Tile tile, bool ta, bool tb, std::int64_t m,
+                    std::int64_t n, std::int64_t k, float alpha, float beta)
 {
     Rng rng(static_cast<std::uint64_t>(m * 10007 + n * 101 + k));
     std::vector<float> a(static_cast<std::size_t>(m * k));
@@ -346,11 +337,13 @@ expect_fma_contract(bool ta, bool tb, std::int64_t m, std::int64_t n,
         }
     }
     std::vector<float> expect = c;
-    gemm(ta, tb, m, n, k, alpha, a.data(), b.data(), beta, c.data());
+    gemm_detail::gemm_on_tile(tile, ta, tb, m, n, k, alpha, a.data(),
+                              b.data(), beta, c.data());
     fma_contract_gemm(ta, tb, m, n, k, alpha, a, b, beta, expect);
     for (std::size_t i = 0; i < c.size(); ++i) {
         ASSERT_EQ(std::memcmp(&c[i], &expect[i], sizeof(float)), 0)
-            << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n
+            << "tile=" << static_cast<int>(tile) << " ta=" << ta
+            << " tb=" << tb << " m=" << m << " n=" << n
             << " k=" << k << " alpha=" << alpha << " beta=" << beta
             << " at " << i << ": " << c[i] << " vs " << expect[i];
     }
@@ -375,32 +368,50 @@ add_blocked_shapes(const int (&ms)[M], const int (&ns)[N], const int (&ks)[K],
 
 TEST(Gemm, BlockedPathFollowsTheFmaContract)
 {
-    if (!has_avx2_fma()) {
-        GTEST_SKIP() << "the contract pins the AVX2+FMA micro-kernel";
+    // gemm runs one tile per n on a given host, so each tile the host
+    // supports is run by name: the 6×16 AVX2 tile, and the 6×32 AVX-512
+    // tile (which hands n ≤ 16 to the 6×16 one).
+    if (!cpu_features().avx2_fma) {
+        GTEST_SKIP() << "the contract pins the wide tiles: needs avx2 and "
+                        "fma";
+    }
+    std::vector<gemm_detail::Tile> tiles = {gemm_detail::Tile::kAvx2};
+    if (cpu_features().avx512f) {
+        tiles.push_back(gemm_detail::Tile::kAvx512);
     }
     // Every blocked shape of the grids above, under every transpose
-    // and every edge alpha/beta; then the k-block and row-panel shapes.
+    // and every edge alpha/beta; widths about the 32-column panel; then
+    // the k-block and row-panel shapes.
     std::vector<std::tuple<int, int, int>> shapes;
     add_blocked_shapes(kAllM, kAllN, kAllK, shapes);
     add_blocked_shapes(kTileM, kTileN, kTileK, shapes);
+    const int wide_n[] = {32, 64, 65, 97};
+    add_blocked_shapes(kTileM, wide_n, kTileK, shapes);
     for (const int k : {255, 256, 257, 300}) {  // KcBlockBoundary
         shapes.emplace_back(13, 21, k);
     }
     ASSERT_GT(shapes.size(), 10u);
-    for (const auto& [m, n, k] : shapes) {
-        for (const bool ta : {false, true}) {
-            for (const bool tb : {false, true}) {
-                for (const float alpha : kEdgeAlphas) {
-                    for (const float beta : kEdgeBetas) {
-                        expect_fma_contract(ta, tb, m, n, k, alpha, beta);
+    for (const gemm_detail::Tile tile : tiles) {
+        for (const auto& [m, n, k] : shapes) {
+            for (const bool ta : {false, true}) {
+                for (const bool tb : {false, true}) {
+                    for (const float alpha : kEdgeAlphas) {
+                        for (const float beta : kEdgeBetas) {
+                            expect_fma_contract(tile, ta, tb, m, n, k, alpha,
+                                                beta);
+                        }
                     }
                 }
             }
         }
+        // LargeRowCountTakesRowPanelPath: row panels split across threads.
+        expect_fma_contract(tile, false, false, 201, 128, 128, 1.0f, 0.0f);
+        expect_fma_contract(tile, true, true, 201, 128, 128, 0.7f, 0.3f);
     }
-    // LargeRowCountTakesRowPanelPath: row panels split across threads.
-    expect_fma_contract(false, false, 201, 128, 128, 1.0f, 0.0f);
-    expect_fma_contract(true, true, 201, 128, 128, 0.7f, 0.3f);
+    if (!cpu_features().avx512f) {
+        GTEST_SKIP() << "the 6x16 tile is pinned; the 6x32 tile needs "
+                        "avx512f";
+    }
 }
 
 // -- The strided fallback's arithmetic, bit for bit ---------------------
@@ -450,6 +461,8 @@ small_path_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
 
 TEST(Gemm, SmallPathKeepsOneDoubleChainPerElement)
 {
+    // n = 9, 15, 16, 17 and 128 reach the eight-column AVX2 dot and its
+    // four-chain and one-chain remainders.
     // The float saxpy order is pinned only where no FMA can contract it;
     // the double dot order is exact either way (a float product is).
 #if defined(__FMA__)
@@ -459,7 +472,8 @@ TEST(Gemm, SmallPathKeepsOneDoubleChainPerElement)
 #endif
     int pinned = 0;
     for (const std::int64_t m : {1, 2, 3, 4, 5}) {
-        for (const std::int64_t n : {1, 3, 4, 5, 7, 8, 10, 84}) {
+        for (const std::int64_t n :
+             {1, 3, 4, 5, 7, 8, 9, 10, 15, 16, 17, 84, 128}) {
             for (const std::int64_t k : {1, 84, 120, 256}) {
                 for (const bool ta : {false, true}) {
                     for (const bool tb : {false, true}) {

@@ -516,6 +516,58 @@ TEST(MaxPool2d, PaddedNegInfWindowsAnswerWithTheirFirstInBoundsElement)
     }
 }
 
+TEST(MaxPool2d, ForwardOnlyEqualsArgmaxRecordingBitForBit)
+{
+    // A forward-only 2×2 stride-2 pool takes the branch-free path; one
+    // that records the argmax takes the general loop. Both must give
+    // the same bits: NaN is skipped, the first of equal values (±0)
+    // stays, and a window with nothing above −inf answers its first
+    // element.
+    nn::MaxPool2d pool(nn::PoolConfig{2, 2, 0});
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {nan, inf, -inf, 0.0f, -0.0f, 1.0f, -1.0f};
+    Rng rng(31);
+    for (const std::int64_t batch : {1, 3}) {
+        for (const std::int64_t h : {2, 3, 6, 7, 16}) {
+            for (const std::int64_t w : {2, 5, 8, 17}) {
+                Tensor x = Tensor::normal(Shape({batch, 2, h, w}), rng);
+                for (std::int64_t i = 0; i < x.size(); ++i) {
+                    // About half the elements special: ties, NaN, ±inf.
+                    const std::int64_t pick = rng.randint(0, 13);
+                    if (pick < 7) {
+                        x[i] = specials[pick];
+                    }
+                }
+                // An all-NaN and an all-±0 window (−0 first) in plane
+                // 0, and an all-−inf window in plane 1.
+                const std::int64_t plane = h * w;
+                for (std::int64_t r = 0; r < 2; ++r) {
+                    for (std::int64_t c = 0; c < 2; ++c) {
+                        x[r * w + c] = nan;
+                        x[plane + r * w + c] = -inf;
+                        if (w >= 4) {
+                            x[r * w + 2 + c] = r + c == 0 ? -0.0f : 0.0f;
+                        }
+                    }
+                }
+                ExecutionContext recording;
+                ExecutionContext forward_only;
+                forward_only.set_retain_activations(false);
+                const Tensor want = pool.forward(x, recording, Mode::kEval);
+                const Tensor got = pool.forward(x, forward_only, Mode::kEval);
+                ASSERT_EQ(got.shape(), want.shape());
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      sizeof(float) *
+                                          static_cast<std::size_t>(got.size())),
+                          0)
+                    << "batch " << batch << " " << h << "x" << w;
+                EXPECT_TRUE(forward_only.state(&pool).argmax.empty());
+            }
+        }
+    }
+}
+
 TEST(MaxPool2dDeath, PaddingAtLeastTheKernelIsRejected)
 {
     // PoolConfig{2, 2, 2} on [1,1,4,4] would give a [1,1,4,4] output
